@@ -1,5 +1,6 @@
 """Top-level distance entry point with path dispatch and special-value handling."""
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -115,9 +116,13 @@ def wasserstein_distance(
         plan = solution.plan if want_plan else None
         iterations = solution.iterations
 
+    # finite coordinates can still overflow, e.g. [-1e308] against [1e308]
+    if not math.isfinite(distance):
+        finiteness = Finiteness.INFINITE if math.isinf(distance) else Finiteness.UNDEFINED
+        plan = None
     return DistanceResult(
         distance,
-        Finiteness.FINITE,
+        finiteness,
         path,
         iterations,
         time.perf_counter_ns() - started,

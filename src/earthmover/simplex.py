@@ -1,185 +1,281 @@
-"""Transportation simplex on the bipartite flow structure.
+"""Transportation simplex over a spanning tree held in flat arrays.
 
-Bases are spanning trees of n + m - 1 cells over the (sources x targets)
-grid, kept rooted at source 0 with parent and depth pointers. Each pivot
-prices all cells against the tree potentials, brings in the most negative
-reduced-cost cell (Dantzig rule), closes the unique cycle through the two
-tree paths to the least common ancestor, and shifts flow by the cycle
-minimum. Potentials are then updated in place: only the subtree cut off by
-the leaving edge moves, by a constant equal to the entering reduced cost.
+Layout. Sources are nodes 0..n-1 and targets are nodes n..n+m-1. A basis is
+a spanning tree of n + m - 1 cells rooted at source 0, stored in arrays over
+the nodes (the layout of the network simplex behind POT's ``ot.emd``;
+Bonneel et al., SIGGRAPH Asia 2011):
 
-Ties are broken lexicographically; after a run of degenerate pivots the
-entering rule drops to Bland's first-negative-index rule, which cannot
-cycle, and reverts once a pivot makes progress. Degenerate zero flows stay
-in the basis explicitly; the right-hand side is never perturbed, which keeps
-small regression values bit-faithful.
+- ``parent[x]``: the node above x, -1 at the root;
+- ``flow[x]``: the flow on the basic cell joining x to its parent, so each
+  basic cell is stored once, at its lower end;
+- ``order``: the nodes in preorder, with ``pos`` its inverse and ``size[x]``
+  the node count of x's subtree. The subtree of x is the contiguous block
+  ``order[pos[x]:pos[x] + size[x]]``, and a is an ancestor of x exactly when
+  ``pos[a] <= pos[x] < pos[a] + size[a]``, so no depth is stored;
+- ``potential[x]``: the dual value of x, with potential[0] = 0.
 
-Node encoding: sources are nodes 0..n-1, targets are nodes n..n+m-1.
+Start. Cells are visited by ascending cost, ties in row-major order. A cell
+whose row and column are both live receives the smaller remaining mass of
+the two, and the line that runs out is crossed out: one line per cell, so
+the start has exactly n + m - 1 cells. The remaining masses are compared as
+(mass, epsilon) pairs of the perturbation below, which is what decides the
+line to cross out when the masses tie.
+
+Pivot. Every cell is priced against the potentials, and the most negative
+reduced cost enters if it is below -OPTIMALITY_TOL (Dantzig). The entering
+cell (i, j) closes a cycle through the tree paths from i and from j up to
+their apex, found with the interval test. Flow theta moves round it: the
+cells above the sources on i's path and above the targets on j's path lose
+theta, the others gain it. Among the cells that reach zero, the leaving cell
+is the last one met when the cycle is walked from the apex down to i, across
+(i, j) and up from j to the apex: the blocking cell on j's path nearest the
+apex, or if there is none, the blocking cell on i's path nearest i. The
+subtree cut off below the leaving cell is re-rooted at the entering endpoint
+(parents and flows shift one step along the path between them), its
+preorder block is spliced in behind the other endpoint, and its potentials
+shift by the entering reduced cost. These updates are NumPy slices and
+fancy indexing over the nodes; subtree sizes outside the moved block change
+only along the cycle.
+
+Anti-cycling. Perturb the masses: every source but the root gets epsilon
+more supply, every target epsilon less demand, and the root (n + m - 1)
+epsilon less supply, which keeps the problem balanced. In any tree the cell
+above x then carries f + size[x] epsilon when x is a source and
+f - size[x] epsilon when x is a target, which is never zero, so no basis of
+the perturbed problem is degenerate. The start allocates the perturbed
+masses, compared lexicographically: every remaining mass stays positive in
+that order, two lines can run out together only at the last cell, and
+every start flow is positive in the perturbed problem. In the unperturbed
+problem this says that zero flows sit only on cells above sources: the start
+tree is strongly feasible (Cunningham 1976) by construction. The
+perturbed ratio test picks, among the blocking cells, the one with the
+smallest epsilon part: the cell above a target (part -size) nearest the
+apex, else the cell above a source (part +size) nearest i, which is the rule
+above. Each pivot therefore moves a positive perturbed amount round a cycle
+of negative reduced cost, the perturbed objective falls strictly, no basis
+repeats, and no fallback rule such as Bland's is needed. The argument
+needs every supply and demand positive; ``solve`` sets zero-mass points
+aside before pivoting and gives them dual values afterwards.
+
+The objective is kept up to date as theta times the entering reduced cost,
+so the per-pivot callback costs nothing extra. Before stopping, potentials
+are derived afresh from the tree and every cell is priced again, so
+incremental drift can never mask a profitable cell.
 """
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IterationLimitError
 from .transport_lp import TransportPlan, TransportProblem, TransportSolution
 
-__all__ = ["BasisState", "initial_basis", "solve"]
+__all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 
 OPTIMALITY_TOL = 1e-9
-BLAND_TRIGGER = 20  # consecutive degenerate pivots before switching pivot rules
 
 
-@dataclass
-class BasisState:
-    """Mutable solver state: basic-cell flows plus the rooted spanning tree.
+class SpanningTree:
+    """A basis of the transportation simplex in the array layout of the module docstring.
 
-    ``flows`` maps basic cells (i, j) to their flow; degenerate zeros are
-    kept. ``links[node]`` holds the basic neighbours of each node,
-    ``parent``/``depth`` root the tree at source 0, and ``potential`` stores
-    the dual value of every node under the gauge potential[0] = 0.
+    ``flows`` gives the basic cells as a dict ``(i, j) -> flow``, degenerate
+    zeros included.
     """
 
-    n_sources: int
-    n_targets: int
-    flows: dict
-    links: list
-    parent: np.ndarray = field(default=None, repr=False)
-    depth: np.ndarray = field(default=None, repr=False)
-    potential: np.ndarray = field(default=None, repr=False)
+    def __init__(self, cost: np.ndarray, parent: list, flow: list, order: list):
+        n, m = cost.shape
+        self.cost = cost
+        self.n_sources = n
+        self.parent = np.array(parent, dtype=np.intp)
+        self.flow = np.array(flow)
+        self.order = np.array(order, dtype=np.intp)
+        self.slots = np.arange(n + m)
+        self.pos = np.empty(n + m, dtype=np.intp)
+        self.pos[self.order] = self.slots
+        size = [1] * (n + m)
+        for x in reversed(order[1:]):
+            size[parent[x]] += size[x]
+        self.size = np.array(size, dtype=np.intp)
+        # +1 on sources, -1 on targets: how a potential shift enters each node
+        self.sign = np.where(self.slots < n, 1.0, -1.0)
+        self.derive_potentials()
 
     @property
-    def row_potentials(self) -> np.ndarray:
-        return self.potential[: self.n_sources]
+    def flows(self) -> dict:
+        n = self.n_sources
+        nodes = range(1, self.parent.size)
+        return {
+            (x, p - n) if x < n else (p, x - n): f
+            for x, p, f in zip(nodes, self.parent[1:].tolist(), self.flow[1:].tolist())
+        }
 
-    @property
-    def col_potentials(self) -> np.ndarray:
-        return self.potential[self.n_sources:]
+    def _edge_costs(self) -> np.ndarray:
+        """Cost of the cell above each node, 0 at the root."""
+        n = self.n_sources
+        nodes = np.arange(1, self.parent.size)
+        up = self.parent[1:]
+        source = nodes < n
+        edge = np.zeros(self.parent.size)
+        edge[1:] = self.cost[np.where(source, nodes, up), np.where(source, up, nodes) - n]
+        return edge
 
-    def cells(self):
-        return set(self.flows)
+    def derive_potentials(self):
+        """Potentials from scratch, down the preorder from potential[root] = 0."""
+        edge = self._edge_costs().tolist()
+        parent = self.parent.tolist()
+        potential = [0.0] * len(parent)
+        for x in self.order[1:].tolist():
+            potential[x] = edge[x] - potential[parent[x]]
+        self.potential = np.array(potential)
+
+    def _cycle(self, i: int, t: int):
+        """Nodes from i and from t up to, not including, their apex; each starts at its endpoint.
+
+        Slot k of the preorder holds an ancestor of the node in slot p exactly
+        when k <= p < ends[k], so each path is one filter over a slot range.
+        """
+        order = self.order
+        ends = self.size[order]
+        ends += self.slots
+        at_i, at_t = int(self.pos[i]), int(self.pos[t])
+        below = int(np.flatnonzero(ends[: min(at_i, at_t) + 1] > max(at_i, at_t))[-1]) + 1
+        side_i = order[below + np.flatnonzero(ends[below:at_i + 1] > at_i)[::-1]]
+        side_t = order[below + np.flatnonzero(ends[below:at_t + 1] > at_t)[::-1]]
+        return side_i, side_t
+
+    def pivot(self, i: int, j: int, gain: float) -> float:
+        """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta."""
+        t = self.n_sources + j
+        flow = self.flow
+        side_i, side_t = self._cycle(i, t)
+        minus_i, minus_t = side_i[0::2], side_t[0::2]
+        flow_i, flow_t = flow[minus_i], flow[minus_t]
+        theta = float(min(flow_i.min(initial=math.inf), flow_t.min(initial=math.inf)))
+
+        blocking = np.flatnonzero(flow_t == theta)
+        if blocking.size:
+            # leaving cell on j's path: the block holding j hangs from i
+            cut = 2 * int(blocking[-1]) + 1
+            path, losing, gaining, new_parent, shift = side_t[:cut], side_t[cut:], side_i, i, -gain
+        else:
+            cut = 2 * int(np.flatnonzero(flow_i == theta)[0]) + 1
+            path, losing, gaining, new_parent, shift = side_i[:cut], side_i[cut:], side_t, t, gain
+        if theta > 0.0:
+            flow[minus_i] -= theta
+            flow[side_i[1::2]] += theta
+            flow[minus_t] -= theta
+            flow[side_t[1::2]] += theta
+        self._reroot(path, new_parent, theta, losing, gaining)
+        first = self.pos[path[0]]
+        block = self.order[first:first + self.size[path[0]]]
+        self.potential[block] += shift * self.sign[block]
+        return theta
+
+    def _reroot(self, path, new_parent, theta, losing, gaining):
+        """Cut the cell above ``path[-1]`` and hang its subtree from ``new_parent`` by ``path[0]``.
+
+        ``path`` runs up the tree from the entering endpoint to the node below
+        the leaving cell. ``losing`` and ``gaining`` are the other cycle nodes
+        below the apex whose subtrees lose and gain the moved block.
+        """
+        order, pos, size = self.order, self.pos, self.size
+        starts = pos[path]
+        sizes = size[path]
+        ends = starts + sizes
+        moved = int(sizes[-1])
+        # the block re-rooted at path[0]: its old subtree, then each path node
+        # with what it kept of its old subtree, in preorder
+        pieces = [order[starts[0]:ends[0]]]
+        for k in range(1, len(path)):
+            pieces.append(order[starts[k]:starts[k - 1]])
+            pieces.append(order[ends[k - 1]:ends[k]])
+
+        self.parent[path[1:]] = path[:-1]
+        self.flow[path[1:]] = self.flow[path[:-1]]
+        self.parent[path[0]] = new_parent
+        self.flow[path[0]] = theta
+        size[path[1:]] = moved - sizes[:-1]
+        size[path[0]] = moved
+        size[losing] -= moved
+        size[gaining] += moved
+
+        # splice the block in right behind new_parent
+        first, anchor = int(starts[-1]), int(pos[new_parent])
+        if anchor < first:
+            lo, hi = anchor + 1, first + moved
+            pieces.append(order[lo:first])
+        else:
+            lo, hi = first, anchor + 1
+            pieces.insert(0, order[first + moved:hi])
+        order[lo:hi] = np.concatenate(pieces)
+        pos[order[lo:hi]] = self.slots[lo:hi]
 
 
-def initial_basis(problem: TransportProblem) -> BasisState:
-    """Feasible starting tree via the northwest-corner walk.
+def initial_basis(problem: TransportProblem) -> SpanningTree:
+    """Strongly feasible starting tree by the cheapest-cell rule (see the module docstring).
 
-    When a supply and a demand exhaust simultaneously the walk still moves
-    one step at a time, inserting an explicit zero flow, so the basis always
-    has exactly n + m - 1 cells.
+    With zero masses the start is still a feasible basis of n + m - 1 cells,
+    but not strongly feasible; ``solve`` never passes such a problem.
     """
     n, m = problem.n_sources, problem.n_targets
-    supply = problem.supply.copy()
-    demand = problem.demand.copy()
-    flows = {}
-    links = [set() for _ in range(n + m)]
-    i = j = 0
-    while True:
-        moved = min(supply[i], demand[j])
-        flows[(i, j)] = float(moved)
-        links[i].add(n + j)
-        links[n + j].add(i)
-        supply[i] -= moved
-        demand[j] -= moved
-        if i == n - 1 and j == m - 1:
-            break
-        if supply[i] == 0.0 and i < n - 1:
-            i += 1
-        elif demand[j] == 0.0 and j < m - 1:
-            j += 1
-        elif i < n - 1:
-            i += 1
-        else:
-            j += 1
-    state = BasisState(n, m, flows, links)
-    _root_tree(state, problem.cost)
-    return state
+    total = n + m
+    # remaining mass of each line as a (mass, epsilon) pair
+    left = problem.supply.tolist() + problem.demand.tolist()
+    eps = [1] * n + [-1] * m
+    eps[0] = 1 - total
+    live = [True] * total
+    rows_live, cols_live = n, m
+    adjacent = [[] for _ in range(total)]
+    ranked = np.argsort(problem.cost, axis=None, kind="stable")
+    start, chunk = 0, total
+    while rows_live and cols_live:
+        rows, cols = np.divmod(ranked[start:start + chunk], m)
+        cols += n
+        alive = np.array(live)
+        candidates = alive[rows] & alive[cols]
+        for i, t in zip(rows[candidates].tolist(), cols[candidates].tolist()):
+            if not (live[i] and live[t]):
+                continue
+            # the masses may be out of balance by rounding, so the last live
+            # row or column is never crossed out before the last cell, and
+            # the cell takes the smaller mass, never a negative one
+            if rows_live > 1 and (cols_live == 1 or (left[i], eps[i]) <= (left[t], eps[t])):
+                out, kept = i, t
+                rows_live -= 1
+            else:
+                out, kept = t, i
+                cols_live -= 1
+            amount = min(left[i], left[t])
+            live[out] = False
+            left[kept] -= amount
+            eps[kept] -= eps[out]
+            adjacent[i].append((t, amount))
+            adjacent[t].append((i, amount))
+            if not (rows_live and cols_live):
+                break
+        start += chunk
+        chunk *= 2
+
+    # root the n + m - 1 cells at source 0, depth first, recording preorder
+    parent = [-1] * total
+    flow = [0.0] * total
+    order = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, f in adjacent[x]:
+            if y != parent[x]:
+                parent[y] = x
+                flow[y] = f
+                stack.append(y)
+    return SpanningTree(problem.cost, parent, flow, order)
 
 
-def _root_tree(state: BasisState, cost: np.ndarray):
-    """Recompute parent, depth, and potentials by one sweep from source 0."""
-    n = state.n_sources
-    total = n + state.n_targets
-    parent = np.full(total, -1, dtype=np.int64)
-    depth = np.zeros(total, dtype=np.int64)
-    potential = np.zeros(total)
-    seen = np.zeros(total, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for nxt in state.links[node]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                parent[nxt] = node
-                depth[nxt] = depth[node] + 1
-                if node < n:  # node is a source, nxt a target
-                    potential[nxt] = cost[node, nxt - n] - potential[node]
-                else:
-                    potential[nxt] = cost[nxt, node - n] - potential[node]
-                queue.append(nxt)
-    assert seen.all(), "basis lost the spanning-tree property"
-    state.parent = parent
-    state.depth = depth
-    state.potential = potential
-
-
-def _edge_cell(node: int, other: int, n: int):
-    """Basic cell (i, j) for the tree edge between two nodes."""
-    if node < n:
-        return (node, other - n)
-    return (other, node - n)
-
-
-def _cycle_sides(state: BasisState, enter_i: int, enter_j: int):
-    """Tree-path edges from both entering endpoints up to their common ancestor.
-
-    Each list starts with the edge incident to its endpoint, so entries at
-    even offsets share a line with the entering cell and take the minus sign.
-    """
-    n = state.n_sources
-    parent = state.parent
-    depth = state.depth
-    a, b = enter_i, n + enter_j
-    side_a, side_b = [], []
-    while depth[a] > depth[b]:
-        side_a.append(_edge_cell(a, parent[a], n))
-        a = parent[a]
-    while depth[b] > depth[a]:
-        side_b.append(_edge_cell(b, parent[b], n))
-        b = parent[b]
-    while a != b:
-        side_a.append(_edge_cell(a, parent[a], n))
-        a = parent[a]
-        side_b.append(_edge_cell(b, parent[b], n))
-        b = parent[b]
-    return side_a, side_b
-
-
-def _reattach(state: BasisState, sub_root: int, new_parent: int, shift: float):
-    """Hang the cut-off subtree at ``sub_root`` below ``new_parent``.
-
-    Walks the subtree once, reversing parents toward its new root and adding
-    ``shift`` to source potentials and ``-shift`` to target potentials (the
-    sign is passed in by the caller). The entering edge must not be linked
-    yet, so the walk cannot escape into the main tree.
-    """
-    n = state.n_sources
-    parent = state.parent
-    depth = state.depth
-    potential = state.potential
-    parent[sub_root] = new_parent
-    depth[sub_root] = depth[new_parent] + 1
-    queue = deque([sub_root])
-    while queue:
-        node = queue.popleft()
-        potential[node] += shift if node < n else -shift
-        for nxt in state.links[node]:
-            if nxt != parent[node]:
-                parent[nxt] = node
-                depth[nxt] = depth[node] + 1
-                queue.append(nxt)
+def pivot_budget(n_sources: int, n_targets: int) -> int:
+    """Default pivot limit of ``solve``: 50 (n+m) log2(n+m) + 1000."""
+    total = n_sources + n_targets
+    return int(50 * total * math.log2(total) + 1000)
 
 
 def solve(problem: TransportProblem, callback=None, pivot_limit=None) -> TransportSolution:
@@ -187,31 +283,31 @@ def solve(problem: TransportProblem, callback=None, pivot_limit=None) -> Transpo
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError if
-    the pivot budget (by default 50 (n+m) log2(n+m) + 1000) is exceeded,
-    which would indicate a cycling bug: these instances are always feasible
-    and bounded.
+    the pivot budget (by default ``pivot_budget(n, m)``) is exceeded, which
+    would indicate a cycling bug: these instances are always feasible and
+    bounded.
     """
+    live_rows = problem.supply > 0.0
+    live_cols = problem.demand > 0.0
+    if not (live_rows.all() and live_cols.all()):
+        return _solve_on_support(problem, live_rows, live_cols, callback, pivot_limit)
+
     n, m = problem.n_sources, problem.n_targets
     cost = problem.cost
-    state = initial_basis(problem)
+    tree = initial_basis(problem)
     if pivot_limit is None:
-        pivot_limit = int(50 * (n + m) * math.log2(n + m) + 1000)
+        pivot_limit = pivot_budget(n, m)
     reduced = np.empty_like(cost)
+    objective = float(sum(f * cost[cell] for cell, f in tree.flows.items()))
 
     iterations = 0
-    degenerate_run = 0
     while True:
-        np.subtract(cost, state.potential[:n, None], out=reduced)
-        reduced -= state.potential[None, n:]
-
-        entering = _select_entering(reduced, degenerate_run >= BLAND_TRIGGER)
+        entering = _select_entering(cost, tree.potential, reduced)
         if entering is None:
             # re-certify against freshly derived potentials before stopping,
             # so incremental drift can never mask a profitable cell
-            _root_tree(state, cost)
-            np.subtract(cost, state.potential[:n, None], out=reduced)
-            reduced -= state.potential[None, n:]
-            entering = _select_entering(reduced, degenerate_run >= BLAND_TRIGGER)
+            tree.derive_potentials()
+            entering = _select_entering(cost, tree.potential, reduced)
             if entering is None:
                 break
         enter_i, enter_j = entering
@@ -222,59 +318,50 @@ def solve(problem: TransportProblem, callback=None, pivot_limit=None) -> Transpo
                 f"exceeded {pivot_limit} pivots on a {n}x{m} instance"
             )
 
-        side_a, side_b = _cycle_sides(state, enter_i, enter_j)
-        minus = side_a[0::2] + side_b[0::2]
-        theta = min(state.flows[cell] for cell in minus)
-        leaving = min(cell for cell in minus if state.flows[cell] == theta)
-
-        for cell in minus:
-            state.flows[cell] -= theta
-        for cell in side_a[1::2]:
-            state.flows[cell] += theta
-        for cell in side_b[1::2]:
-            state.flows[cell] += theta
-        del state.flows[leaving]
-        state.flows[(enter_i, enter_j)] = theta
-
-        # cut the leaving edge, reattach the freed subtree via the entering
-        # edge, shifting its potentials by the entering reduced cost
         gain = float(reduced[enter_i, enter_j])
-        leave_row, leave_col = leaving[0], n + leaving[1]
-        state.links[leave_row].discard(leave_col)
-        state.links[leave_col].discard(leave_row)
-        if leaving in side_a:
-            # entering row was below the cut
-            _reattach(state, enter_i, n + enter_j, gain)
-        else:
-            # entering column was below the cut; source/target roles swap sign
-            _reattach(state, n + enter_j, enter_i, -gain)
-        state.links[enter_i].add(n + enter_j)
-        state.links[n + enter_j].add(enter_i)
-
-        degenerate_run = degenerate_run + 1 if theta == 0.0 else 0
+        objective += tree.pivot(enter_i, enter_j, gain) * gain
         if callback is not None:
-            objective_now = sum(f * cost[c] for c, f in state.flows.items())
-            callback(iterations, float(objective_now))
+            callback(iterations, objective)
 
-    flows = tuple(
-        (i, j, float(f)) for (i, j), f in sorted(state.flows.items()) if f > 0.0
+    plan = TransportPlan(
+        n, m, tuple((i, j, f) for (i, j), f in sorted(tree.flows.items()) if f > 0.0)
     )
-    plan = TransportPlan(n, m, flows)
-    objective = float(sum(f * cost[c] for c, f in state.flows.items()))
-    dual = state.potential.copy()
-    return TransportSolution(problem, plan, dual, objective, iterations)
+    return TransportSolution(problem, plan, tree.potential.copy(), plan.cost(cost), iterations)
 
 
-def _select_entering(reduced: np.ndarray, bland: bool):
-    """Most negative reduced cost, or first negative index under Bland."""
-    m = reduced.shape[1]
-    if bland:
-        negative = np.flatnonzero(reduced.ravel() < -OPTIMALITY_TOL)
-        if negative.size == 0:
-            return None
-        return divmod(int(negative[0]), m)
-    flat = int(np.argmin(reduced))
-    cell = divmod(flat, m)
+def _select_entering(cost: np.ndarray, potential: np.ndarray, reduced: np.ndarray):
+    """Cell of the most negative reduced cost, or None when none is below -OPTIMALITY_TOL.
+
+    The reduced costs are written into ``reduced``.
+    """
+    n = cost.shape[0]
+    np.subtract(cost, potential[:n, None], out=reduced)
+    reduced -= potential[None, n:]
+    cell = divmod(int(np.argmin(reduced)), reduced.shape[1])
     if reduced[cell] >= -OPTIMALITY_TOL:
         return None
     return cell
+
+
+def _solve_on_support(problem, live_rows, live_cols, callback, pivot_limit):
+    """Solve without the zero-mass points, then price them in.
+
+    A zero-mass point carries no flow. Each one gets the largest dual value
+    that keeps every reduced cost non-negative; with zero mass it adds
+    nothing to the dual objective.
+    """
+    rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
+    cost = problem.cost
+    inner = solve(
+        TransportProblem(cost[np.ix_(rows, cols)], problem.supply[rows], problem.demand[cols]),
+        callback,
+        pivot_limit,
+    )
+    n, m = problem.n_sources, problem.n_targets
+    alpha, beta = np.empty(n), np.empty(m)
+    alpha[rows], beta[cols] = inner.dual[: rows.size], inner.dual[rows.size:]
+    alpha[~live_rows] = (cost[~live_rows][:, cols] - beta[cols]).min(axis=1)
+    beta[~live_cols] = (cost[:, ~live_cols] - alpha[:, None]).min(axis=0)
+    flows = tuple((int(rows[i]), int(cols[j]), f) for i, j, f in inner.plan.flows)
+    plan, dual = TransportPlan(n, m, flows), np.concatenate([alpha, beta])
+    return TransportSolution(problem, plan, dual, inner.objective, inner.iterations)

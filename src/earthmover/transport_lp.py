@@ -94,7 +94,7 @@ class TransportSolution:
 
     problem: TransportProblem
     plan: TransportPlan
-    dual: np.ndarray  # length n+m, rows first, gauge dual[0] = 0
+    dual: np.ndarray  # length n+m, rows first, 0 at the first source with mass
     objective: float
     iterations: int
     status: str = "optimal"

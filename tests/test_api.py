@@ -124,6 +124,13 @@ class TestSpecialValues:
         result = wasserstein_distance([[np.nan, 0.0]], [[1.0, 2.0]])
         assert math.isnan(result.distance)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_of_finite_points_is_infinite(self):
+        result = wasserstein_distance([-1e308], [1e308], want_plan=True)
+        assert math.isinf(result.distance)
+        assert result.finiteness is Finiteness.INFINITE
+        assert result.plan is None
+
     def test_classification_happens_before_solving(self):
         # huge point counts would be slow to solve; classification short-circuits
         result = wasserstein_distance([np.inf] + [0.0] * 5000, list(range(5001)))

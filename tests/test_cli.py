@@ -1,0 +1,138 @@
+"""Command-line front end, run in-process through ``cli.main(argv)``."""
+
+import json
+
+import numpy as np
+import pytest
+
+from earthmover import cli
+from earthmover.errors import IterationLimitError
+
+
+def write_csv(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.fixture
+def square(tmp_path):
+    """Two unit-spaced 2D pairs at distance one from each other."""
+    u = write_csv(tmp_path / "u.csv", "0,0\n1,0\n")
+    v = write_csv(tmp_path / "v.csv", "0,1\n1,1\n")
+    return u, v
+
+
+def run(capsys, *argv):
+    code = cli.main(["compute", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestSuccess:
+    def test_json_output(self, capsys, square):
+        code, out, _ = run(capsys, "--u", square[0], "--v", square[1])
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["distance"] == pytest.approx(1.0, rel=1e-12)
+        assert payload["path"] == "lp"
+        assert isinstance(payload["iterations"], int)
+        assert payload["wall_time_ns"] > 0
+        assert "plan" not in payload
+
+    def test_text_output(self, capsys, square):
+        code, out, _ = run(capsys, "--u", square[0], "--v", square[1], "--format", "text")
+        assert code == cli.EXIT_OK
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert float(lines["distance"]) == pytest.approx(1.0, rel=1e-12)
+        assert lines["path"] == "lp"
+        assert set(lines) == {"distance", "path", "iterations", "wall_time_ns"}
+
+    def test_plan_file(self, capsys, tmp_path, square):
+        plan_path = tmp_path / "plan.json"
+        code, out, _ = run(capsys, "--u", square[0], "--v", square[1], "--plan", str(plan_path))
+        assert code == cli.EXIT_OK
+        rows = json.loads(plan_path.read_text())
+        assert rows == json.loads(out)["plan"]
+        dense = np.zeros((2, 2))
+        for i, j, mass in rows:
+            dense[i, j] += mass
+        np.testing.assert_allclose(dense, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+
+    def test_one_dimensional_weighted_input(self, capsys, tmp_path):
+        u = write_csv(tmp_path / "u.csv", "0\n1\n")
+        v = write_csv(tmp_path / "v.csv", "0\n1\n")
+        u_w = write_csv(tmp_path / "uw.csv", "3\n1\n")
+        v_w = write_csv(tmp_path / "vw.csv", "2\n2\n")
+        code, out, _ = run(capsys, "--u", u, "--v", v, "--u-weights", u_w, "--v-weights", v_w)
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["distance"] == pytest.approx(0.25, rel=1e-12)
+        assert payload["path"] == "cdf1d"
+
+    def test_header_row_is_skipped(self, capsys, tmp_path):
+        u = write_csv(tmp_path / "u.csv", "x,y\n0,0\n1,0\n")
+        v = write_csv(tmp_path / "v.csv", "x,y\n0,1\n1,1\n")
+        code, out, _ = run(capsys, "--u", u, "--v", v, "--header")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["distance"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_header_row_without_flag_is_a_parse_error(self, capsys, tmp_path):
+        u = write_csv(tmp_path / "u.csv", "x,y\n0,0\n")
+        v = write_csv(tmp_path / "v.csv", "0,1\n")
+        code, _, err = run(capsys, "--u", u, "--v", v)
+        assert code == cli.EXIT_IO
+        assert err.startswith("error:")
+
+
+class TestSpecialValueEncoding:
+    def test_infinite_distance_is_the_string_inf(self, capsys, tmp_path):
+        u = write_csv(tmp_path / "u.csv", "0,inf\n1,2\n")
+        v = write_csv(tmp_path / "v.csv", "3,2\n")
+        code, out, _ = run(capsys, "--u", u, "--v", v)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["distance"] == "inf"
+
+    def test_undefined_distance_is_the_string_nan(self, capsys, tmp_path):
+        u = write_csv(tmp_path / "u.csv", "nan,0\n")
+        v = write_csv(tmp_path / "v.csv", "1,2\n")
+        code, out, _ = run(capsys, "--u", u, "--v", v)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["distance"] == "nan"
+
+
+class TestExitCodes:
+    def test_negative_weight_is_a_validation_error(self, capsys, tmp_path, square):
+        weights = write_csv(tmp_path / "w.csv", "1\n-1\n")
+        code, out, err = run(capsys, "--u", square[0], "--v", square[1], "--u-weights", weights)
+        assert code == cli.EXIT_VALIDATION == 2
+        assert out == ""
+        assert "E_WEIGHT_NEG" in err
+
+    def test_solver_failure(self, capsys, monkeypatch, square):
+        def fail(*args, **kwargs):
+            raise IterationLimitError("exceeded 1 pivots on a 2x2 instance")
+
+        monkeypatch.setattr(cli, "wasserstein_distance", fail)
+        code, out, err = run(capsys, "--u", square[0], "--v", square[1])
+        assert code == cli.EXIT_SOLVER == 3
+        assert out == ""
+        assert "E_ITER_LIMIT" in err
+
+    def test_ragged_rows(self, capsys, tmp_path, square):
+        ragged = write_csv(tmp_path / "ragged.csv", "0,0\n1\n")
+        code, out, err = run(capsys, "--u", ragged, "--v", square[1])
+        assert code == cli.EXIT_IO == 4
+        assert out == ""
+        assert "inconsistent column counts" in err
+
+    def test_missing_file(self, capsys, tmp_path, square):
+        code, out, err = run(capsys, "--u", str(tmp_path / "absent.csv"), "--v", square[1])
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_unwritable_plan_path(self, capsys, tmp_path, square):
+        plan_path = tmp_path / "no-such-dir" / "plan.json"
+        code, _, err = run(capsys, "--u", square[0], "--v", square[1], "--plan", str(plan_path))
+        assert code == cli.EXIT_IO
+        assert err.startswith("error:")

@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.stats import wasserstein_distance_nd
 
 from earthmover.distributions import normalize, validate
 from earthmover.errors import IterationLimitError
 from earthmover.geometry import pairwise_costs
-from earthmover.simplex import initial_basis, solve
+from earthmover.simplex import SpanningTree, initial_basis, pivot_budget, solve
 from earthmover.transport_lp import build_problem, solution_distance
 
 
@@ -17,6 +19,16 @@ def lp_distance(u_pts, v_pts, u_w=None, v_w=None):
     v = normalize(validate(v_pts, v_w))
     problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
     return solution_distance(solve(problem))
+
+
+def assert_certified(problem, solution):
+    """Plan meets both marginals, duals price every cell >= 0, pivots within budget."""
+    n, m = problem.n_sources, problem.n_targets
+    reduced = problem.cost - solution.dual[:n, None] - solution.dual[None, n:]
+    assert reduced.min() >= -1e-9
+    np.testing.assert_allclose(solution.plan.source_marginals(), problem.supply, atol=1e-9)
+    np.testing.assert_allclose(solution.plan.target_marginals(), problem.demand, atol=1e-9)
+    assert solution.iterations <= pivot_budget(n, m)
 
 
 def brute_force_assignment(costs):
@@ -62,6 +74,15 @@ class TestInitialBasis:
                 dense[i, j] = flow
             np.testing.assert_allclose(dense.sum(axis=1), supply, atol=1e-12)
             np.testing.assert_allclose(dense.sum(axis=0), demand, atol=1e-12)
+
+    def test_rounding_imbalance_still_gives_a_spanning_tree(self):
+        # after row 0 the column has 1 - 0.7 = 0.30000000000000004 left, an
+        # ulp less than row 1, while row 2 is still live
+        supply = [0.7, float(np.nextafter(np.nextafter(0.3, 1), 1)), 1e-17]
+        state = initial_basis(build_problem(np.ones((3, 1)), supply, [1.0]))
+        assert set(state.flows) == {(0, 0), (1, 0), (2, 0)}
+        assert min(state.flows.values()) >= 0.0
+        assert sum(state.flows.values()) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSolve:
@@ -167,5 +188,92 @@ class TestSolve:
         u = normalize(validate(rng.normal(size=(6, 2))))
         v = normalize(validate(rng.normal(size=(6, 2))))
         problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+        needed = solve(problem).iterations
+        assert needed >= 1
         with pytest.raises(IterationLimitError, match="E_ITER_LIMIT"):
-            solve(problem, pivot_limit=1)
+            solve(problem, pivot_limit=needed - 1)
+
+    def test_zero_mass_points_are_priced_in(self):
+        rng = np.random.default_rng(74)
+        for _ in range(20):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
+            w_u[0] = 0.0  # the root of the tree carries no mass
+            w_u[-1] = w_v[-1] = 1.0
+            pts_u = rng.integers(0, 4, (n, 2)).astype(float)
+            pts_v = rng.integers(0, 4, (m, 2)).astype(float)
+            u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
+            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            solution = solve(problem)
+            assert_certified(problem, solution)
+            assert all(w_u[i] > 0 and w_v[j] > 0 for i, j, _ in solution.plan.flows)
+            expected = lp_distance(pts_u[w_u > 0], pts_v[w_v > 0], w_u[w_u > 0], w_v[w_v > 0])
+            assert abs(solution_distance(solution) - expected) <= 1e-12
+
+    def test_start_is_strongly_feasible(self):
+        # zero flows may sit only on cells whose lower end is a source
+        rng = np.random.default_rng(72)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            u = normalize(validate(rng.integers(0, 3, (n, 2)).astype(float), rng.integers(1, 4, n)))
+            v = normalize(validate(rng.integers(0, 3, (m, 2)).astype(float), rng.integers(1, 4, m)))
+            tree = initial_basis(build_problem(pairwise_costs(u, v), u.weights, v.weights))
+            assert (np.flatnonzero(tree.flow[1:] == 0.0) + 1 < n).all()
+
+    def test_pivots_keep_the_tree_strongly_feasible(self, monkeypatch):
+        # the anti-cycling argument rests on this holding after every pivot
+        pivot = SpanningTree.pivot
+        checked = []
+
+        def checked_pivot(tree, i, j, gain):
+            theta = pivot(tree, i, j, gain)
+            zero_above = np.flatnonzero(tree.flow[1:] == 0.0) + 1
+            assert (zero_above < tree.n_sources).all()
+            checked.append(theta)
+            return theta
+
+        monkeypatch.setattr(SpanningTree, "pivot", checked_pivot)
+        rng = np.random.default_rng(76)
+        for trial in range(30):
+            # equal weights and n == m make most pivots degenerate
+            n = int(rng.integers(5, 30))
+            if trial % 2:
+                pts = rng.random((2, n, 2))
+            else:
+                pts = rng.integers(0, 4, (2, n, 2))
+            u, v = normalize(validate(pts[0])), normalize(validate(pts[1]))
+            solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
+        assert checked.count(0.0) >= 50  # degenerate pivots were exercised
+
+
+class TestAgainstSciPyAtScale:
+    """Sizes well past the certificates above.
+
+    Integer grids bring ties and duplicate points; equal weights bring degenerate pivots.
+    """
+
+    def test_integer_grids_with_duplicates(self):
+        rng = np.random.default_rng(80)
+        for n, m in [(40, 57), (64, 45), (52, 64)]:
+            pts_u = rng.integers(0, 5, (n, 2)).astype(float)
+            pts_v = rng.integers(0, 5, (m, 2)).astype(float)
+            w_u = rng.integers(1, 6, n).astype(float)
+            w_v = rng.integers(1, 6, m).astype(float)
+            u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
+            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            solution = solve(problem)
+            assert_certified(problem, solution)
+            expected = wasserstein_distance_nd(pts_u, pts_v, w_u, w_v)
+            assert solution_distance(solution) == pytest.approx(expected, rel=1e-9)
+
+    def test_uniform_points_match_assignment(self):
+        rng = np.random.default_rng(82)
+        for n in (40, 64):
+            pts_u, pts_v = rng.random((n, 2)), rng.random((n, 2))
+            u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
+            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            solution = solve(problem)
+            assert_certified(problem, solution)
+            rows, cols = linear_sum_assignment(problem.cost)
+            expected = problem.cost[rows, cols].sum() / n
+            assert solution_distance(solution) == pytest.approx(expected, rel=1e-9)
