@@ -13,7 +13,6 @@ from .errors import (
     EarthMoverError,
     IterationLimitError,
     MassMismatchError,
-    MaterializationCapError,
     NegativeWeightError,
     ShapeError,
     SolverError,
@@ -41,7 +40,6 @@ __all__ = [
     "NegativeWeightError",
     "WeightSumError",
     "MassMismatchError",
-    "MaterializationCapError",
     "SolverError",
     "DualityGapError",
     "IterationLimitError",

@@ -30,7 +30,11 @@ class MergedSupport:
 
 
 def _step_cdf(positions: np.ndarray, weights: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    order = np.argsort(positions, kind="stable")
+    # The default sort kind suffices: searchsorted(side="right") reads the
+    # cumulative mass only at the end of each run of tied positions, and that
+    # run sums the same weights whatever their order (up to rounding). The
+    # sort is deterministic, so identical inputs still get bit-identical CDFs.
+    order = np.argsort(positions)
     cum = np.concatenate([[0.0], np.cumsum(weights[order])])
     idx = np.searchsorted(positions[order], grid, side="right")
     return cum[idx] / cum[-1]
@@ -47,7 +51,11 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution) -> MergedSu
 def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
     """Sum of |U - V| times the gap between consecutive merged positions."""
     ms = merged_support(u, v)
-    return float(np.sum(np.abs(ms.u_cdf[:-1] - ms.v_cdf[:-1]) * np.diff(ms.positions)))
+    gap = np.abs(ms.u_cdf[:-1] - ms.v_cdf[:-1])
+    # Where the CDFs agree the interval adds nothing, even if its width
+    # overflowed to inf; those products are skipped and stay 0, not nan.
+    np.multiply(gap, np.diff(ms.positions), out=gap, where=gap > 0)
+    return float(np.sum(gap))
 
 
 def greedy_plan_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> TransportPlan:

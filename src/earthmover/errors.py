@@ -45,10 +45,6 @@ class MassMismatchError(ValidationError):
     code = "E_MASS_MISMATCH"
 
 
-class MaterializationCapError(ValidationError):
-    code = "E_TOO_LARGE"
-
-
 class SolverError(EarthMoverError, RuntimeError):
     """Solver-side failure (CLI exit code 3)."""
 

@@ -8,30 +8,24 @@ linear program
                 sum_i flow[i, j] = demand[j]     for every target j
                 flow >= 0
 
-The production solver consumes the structured (cost, supply, demand) triple
-directly. ``materialize_constraints`` builds the dense 0/1 constraint matrix
-(variables flattened row-major, x[k] = flow[i, j] with k = i*m + j); it exists
-for tests and oracles only because the dense form wastes memory and the
-structure is best exploited directly.
+The solver consumes the structured (cost, supply, demand) triple directly.
+The dense 0/1 constraint matrix of the same program, which a general LP solver
+would need, lives in the tests, where it serves as an oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DualityGapError, MassMismatchError, MaterializationCapError
+from .errors import DualityGapError, MassMismatchError
 
 __all__ = [
     "TransportProblem",
     "TransportPlan",
     "TransportSolution",
     "build_problem",
-    "materialize_constraints",
     "solution_distance",
-    "MATERIALIZATION_CAP",
 ]
-
-MATERIALIZATION_CAP = 10_000  # max n*m variables for the dense constraint form
 
 MASS_BALANCE_TOL = 1e-10
 DUALITY_GAP_TOL = 1e-8
@@ -97,7 +91,6 @@ class TransportSolution:
     dual: np.ndarray  # length n+m, rows first, 0 at the first source with mass
     objective: float
     iterations: int
-    status: str = "optimal"
 
 
 def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
@@ -116,26 +109,6 @@ def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
             f"marginal totals differ by {gap:.3e} (limit {MASS_BALANCE_TOL:.0e})"
         )
     return TransportProblem(cost, supply, demand)
-
-
-def materialize_constraints(problem: TransportProblem, cap: int = MATERIALIZATION_CAP):
-    """Dense 0/1 equality constraints and right-hand side.
-
-    Row i < n selects the contiguous block of m variables for source i; row
-    n + j selects every m-th variable starting at j for target j. Each column
-    holds exactly two ones.
-    """
-    n, m = problem.n_sources, problem.n_targets
-    if n * m > cap:
-        raise MaterializationCapError(
-            f"{n}x{m} problem has {n * m} variables, above the cap of {cap}"
-        )
-    A = np.zeros((n + m, n * m))
-    for i in range(n):
-        A[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        A[n + j, j::m] = 1.0
-    return A, problem.rhs()
 
 
 def solution_distance(solution: TransportSolution) -> float:

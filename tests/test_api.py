@@ -131,6 +131,14 @@ class TestSpecialValues:
         assert result.finiteness is Finiteness.INFINITE
         assert result.plan is None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_gap_with_equal_cdfs_adds_nothing(self):
+        # the merged gap 1e308 - (-1e308) overflows to inf, but both CDFs
+        # agree across it, so the interval must not contribute 0 * inf = nan
+        result = wasserstein_distance([-1e308, 1e308], [-1e308, 1e308])
+        assert result.distance == 0.0
+        assert result.finiteness is Finiteness.FINITE
+
     def test_classification_happens_before_solving(self):
         # huge point counts would be slow to solve; classification short-circuits
         result = wasserstein_distance([np.inf] + [0.0] * 5000, list(range(5001)))

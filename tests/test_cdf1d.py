@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import wasserstein_distance
 
 from earthmover.cdf1d import cdf_distance_1d, greedy_plan_1d, merged_support
 from earthmover.distributions import normalize, validate
@@ -36,6 +37,23 @@ class TestCdfDistance:
     def test_identical_distributions(self):
         u = dist1d([1.0, 2.0, 4.0], [2, 5, 1])
         assert cdf_distance_1d(u, u) == 0.0
+        # duplicate-heavy support with non-dyadic weights, built twice
+        rng = np.random.default_rng(41)
+        pts = rng.integers(0, 40, 2000) / 10
+        w = rng.random(2000) + 0.01
+        u = dist1d(pts, w)
+        assert cdf_distance_1d(u, u) == 0.0
+        assert cdf_distance_1d(u, dist1d(pts.copy(), w.copy())) == 0.0
+
+    def test_tie_heavy_matches_scipy(self):
+        rng = np.random.default_rng(43)
+        u_pts = np.round(rng.normal(size=3000), 2)
+        v_pts = np.round(rng.normal(0.2, 1.3, 2500), 2)
+        u_w, v_w = rng.random(3000) + 0.01, rng.random(2500) + 0.01
+        assert len(np.unique(u_pts)) < 1000 and len(np.unique(v_pts)) < 1000
+        expected = wasserstein_distance(u_pts, v_pts, u_w, v_w)
+        value = cdf_distance_1d(dist1d(u_pts, u_w), dist1d(v_pts, v_w))
+        assert value == pytest.approx(expected, rel=1e-11)
 
     @given(
         u_pts=st.lists(st.floats(-50, 50), min_size=1, max_size=8),

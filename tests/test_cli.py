@@ -1,6 +1,8 @@
 """Command-line front end, run in-process through ``cli.main(argv)``."""
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,3 +138,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "--u", square[0], "--v", square[1], "--plan", str(plan_path))
         assert code == cli.EXIT_IO
         assert err.startswith("error:")
+
+
+class TestBench:
+    def test_small_run_writes_trials_and_summary(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = cli.main(["bench", "--max-exp", "2", "--repeats", "2", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        with open(out, newline="") as fh:
+            trials = list(csv.reader(fh))
+        assert trials[0] == ["n", "trial", "wall_time_ns", "distance"]
+        assert [(int(n), int(t)) for n, t, _, _ in trials[1:]] == [
+            (size, trial) for size in (1, 2, 4) for trial in (0, 1)
+        ]
+        with open(tmp_path / "bench_summary.csv", newline="") as fh:
+            summary = list(csv.reader(fh))
+        assert summary[0] == ["n", "mean_wall_time_ns", "log_mean", "paper_scaled"]
+        assert [int(row[0]) for row in summary[1:]] == [1, 2, 4]
+        for _, mean, log_mean, _ in summary[1:]:
+            assert float(log_mean) == pytest.approx(math.log(float(mean)))

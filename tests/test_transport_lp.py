@@ -1,4 +1,4 @@
-"""LP encoding: constraint materialization, plan bookkeeping, dual decoding."""
+"""LP encoding: the dense constraint oracle, plan bookkeeping, dual decoding."""
 
 import dataclasses
 
@@ -7,15 +7,31 @@ import pytest
 from scipy.optimize import linprog
 
 from earthmover.distributions import normalize, validate
-from earthmover.errors import DualityGapError, MassMismatchError, MaterializationCapError
+from earthmover.errors import DualityGapError, MassMismatchError
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import solve
 from earthmover.transport_lp import (
     TransportPlan,
     build_problem,
-    materialize_constraints,
     solution_distance,
 )
+
+
+def materialize_constraints(problem):
+    """Dense 0/1 equality constraints and right-hand side of ``problem``.
+
+    Variables are flattened row-major, x[k] = flow[i, j] with k = i*m + j.
+    Row i < n selects the contiguous block of m variables for source i; row
+    n + j selects every m-th variable starting at j for target j. Each column
+    holds exactly two ones.
+    """
+    n, m = problem.n_sources, problem.n_targets
+    A = np.zeros((n + m, n * m))
+    for i in range(n):
+        A[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        A[n + j, j::m] = 1.0
+    return A, problem.rhs()
 
 
 def rank_by_elimination(matrix):
@@ -71,11 +87,6 @@ class TestBuildProblem:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
             build_problem(np.ones((2, 2)), [0.5, 0.25, 0.25], [0.5, 0.5])
-
-    def test_materialization_cap(self):
-        problem = build_problem(np.ones((4, 4)) , [0.25] * 4, [0.25] * 4)
-        with pytest.raises(MaterializationCapError, match="E_TOO_LARGE"):
-            materialize_constraints(problem, cap=15)
 
 
 class TestConstraintStructure:
