@@ -110,9 +110,12 @@ def wasserstein_distance(
         iterations = 0
     else:
         costs = pairwise_costs(u_dist, v_dist)
-        problem = build_problem(costs, u_dist.weights, v_dist.weights)
+        # the solver's tolerances are absolute: solve on costs in [0.5, 1),
+        # scaled by a power of two so that no cost is rounded
+        _, exponent = math.frexp(float(costs.max()))
+        problem = build_problem(np.ldexp(costs, -exponent), u_dist.weights, v_dist.weights)
         solution = solve(problem)
-        distance = max(0.0, solution_distance(solution))
+        distance = math.ldexp(max(0.0, solution_distance(solution)), exponent)
         plan = solution.plan if want_plan else None
         iterations = solution.iterations
 

@@ -102,21 +102,21 @@ class SpanningTree:
 
     @property
     def flows(self) -> dict:
+        rows, cols = self._cells()
+        return dict(zip(zip(rows.tolist(), cols.tolist()), self.flow[1:].tolist()))
+
+    def _cells(self):
+        """Row and column arrays of the cell above each node 1..n+m-1, in node order."""
         n = self.n_sources
-        nodes = range(1, self.parent.size)
-        return {
-            (x, p - n) if x < n else (p, x - n): f
-            for x, p, f in zip(nodes, self.parent[1:].tolist(), self.flow[1:].tolist())
-        }
+        nodes = self.slots[1:]
+        up = self.parent[1:]
+        source = nodes < n
+        return np.where(source, nodes, up), np.where(source, up, nodes) - n
 
     def _edge_costs(self) -> np.ndarray:
         """Cost of the cell above each node, 0 at the root."""
-        n = self.n_sources
-        nodes = np.arange(1, self.parent.size)
-        up = self.parent[1:]
-        source = nodes < n
         edge = np.zeros(self.parent.size)
-        edge[1:] = self.cost[np.where(source, nodes, up), np.where(source, up, nodes) - n]
+        edge[1:] = self.cost[self._cells()]
         return edge
 
     def derive_potentials(self):
@@ -273,30 +273,32 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
 
 
 def pivot_budget(n_sources: int, n_targets: int) -> int:
-    """Default pivot limit of ``solve``: 50 (n+m) log2(n+m) + 1000."""
+    """Pivot limit of ``solve``: 50 (n+m) log2(n+m) + 1000."""
     total = n_sources + n_targets
     return int(50 * total * math.log2(total) + 1000)
 
 
-def solve(problem: TransportProblem, callback=None, pivot_limit=None) -> TransportSolution:
+def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     """Minimize total transport cost; returns plan, duals, and objective.
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError if
-    the pivot budget (by default ``pivot_budget(n, m)``) is exceeded, which
-    would indicate a cycling bug: these instances are always feasible and
-    bounded.
+    more than ``pivot_budget(n, m)`` pivots are needed, which would indicate
+    a cycling bug: these instances are always feasible and bounded.
+
+    ``OPTIMALITY_TOL`` and the duality-gap check of ``solution_distance`` are
+    absolute, so costs are expected to be of order one. ``wasserstein_distance``
+    scales its costs into [0.5, 1) by a power of two before calling this.
     """
     live_rows = problem.supply > 0.0
     live_cols = problem.demand > 0.0
     if not (live_rows.all() and live_cols.all()):
-        return _solve_on_support(problem, live_rows, live_cols, callback, pivot_limit)
+        return _solve_on_support(problem, live_rows, live_cols, callback)
 
     n, m = problem.n_sources, problem.n_targets
     cost = problem.cost
     tree = initial_basis(problem)
-    if pivot_limit is None:
-        pivot_limit = pivot_budget(n, m)
+    pivot_limit = pivot_budget(n, m)
     reduced = np.empty_like(cost)
     objective = float(sum(f * cost[cell] for cell, f in tree.flows.items()))
 
@@ -343,7 +345,7 @@ def _select_entering(cost: np.ndarray, potential: np.ndarray, reduced: np.ndarra
     return cell
 
 
-def _solve_on_support(problem, live_rows, live_cols, callback, pivot_limit):
+def _solve_on_support(problem, live_rows, live_cols, callback):
     """Solve without the zero-mass points, then price them in.
 
     A zero-mass point carries no flow. Each one gets the largest dual value
@@ -355,7 +357,6 @@ def _solve_on_support(problem, live_rows, live_cols, callback, pivot_limit):
     inner = solve(
         TransportProblem(cost[np.ix_(rows, cols)], problem.supply[rows], problem.demand[cols]),
         callback,
-        pivot_limit,
     )
     n, m = problem.n_sources, problem.n_targets
     alpha, beta = np.empty(n), np.empty(m)

@@ -262,3 +262,22 @@ class TestDistanceProperties:
             base = wasserstein_distance(pts_u, pts_v).distance
             scaled = wasserstein_distance(scale * pts_u, scale * pts_v).distance
             assert abs(scaled - abs(scale) * base) <= 1e-8
+
+        # a 40x40 uniform instance and a weighted 40x33 integer grid with
+        # duplicates, far from cost scale one
+        uniform, grid = np.random.default_rng(3), np.random.default_rng(5)
+        instances = [
+            (uniform.random((40, 2)), uniform.random((40, 2)), None, None),
+            (grid.integers(0, 5, (40, 2)) * 1.0, grid.integers(0, 5, (33, 2)) * 1.0,
+             grid.integers(1, 6, 40), grid.integers(1, 6, 33)),
+        ]
+        for pts_u, pts_v, w_u, w_v in instances:
+            base = wasserstein_distance(pts_u, pts_v, w_u, w_v).distance
+            for k in (30, 100, 400):
+                for scale in (2.0**k, 2.0**-k):
+                    scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v)
+                    assert scaled.finiteness is Finiteness.FINITE
+                    assert scaled.distance == scale * base
+            for scale in (1e9, 1e-9, 1e150, 1e-150):
+                scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v).distance
+                assert scaled == pytest.approx(scale * base, rel=1e-14)

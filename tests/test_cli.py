@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import earthmover
 from earthmover import cli
 from earthmover.errors import IterationLimitError
 
@@ -138,6 +142,76 @@ class TestExitCodes:
         code, _, err = run(capsys, "--u", square[0], "--v", square[1], "--plan", str(plan_path))
         assert code == cli.EXIT_IO
         assert err.startswith("error:")
+
+
+class TestInputRejection:
+    def test_blank_line_between_rows_is_skipped(self, capsys, tmp_path, square):
+        u = write_csv(tmp_path / "blank.csv", "0,0\n\n1,0\n")
+        code, out, _ = run(capsys, "--u", u, "--v", square[1])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["distance"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_empty_file(self, capsys, tmp_path, square):
+        empty = write_csv(tmp_path / "empty.csv", "")
+        code, out, err = run(capsys, "--u", empty, "--v", square[1])
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "no data rows" in err
+
+    def test_header_only_file(self, capsys, tmp_path, square):
+        header = write_csv(tmp_path / "header.csv", "x,y\n")
+        code, out, err = run(capsys, "--u", header, "--v", square[1], "--header")
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "no data rows" in err
+
+    def test_field_past_the_csv_field_limit(self, capsys, tmp_path, square):
+        huge = write_csv(tmp_path / "huge.csv", "1" * (csv.field_size_limit() + 1) + "\n")
+        code, out, err = run(capsys, "--u", huge, "--v", square[1])
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "field limit" in err
+
+    def test_two_column_weights_file(self, capsys, tmp_path, square):
+        weights = write_csv(tmp_path / "w.csv", "1,2\n3,4\n")
+        code, out, err = run(capsys, "--u", square[0], "--v", square[1], "--u-weights", weights)
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "one value per row" in err
+
+    def test_unwritable_bench_output(self, capsys, tmp_path):
+        out_path = tmp_path / "no-such-dir" / "bench.csv"
+        code = cli.main(["bench", "--max-exp", "0", "--repeats", "1", "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_bench_with_no_coordinates_is_a_validation_error(self, capsys, tmp_path):
+        out_path = tmp_path / "bench.csv"
+        code = cli.main(["bench", "--max-exp", "0", "--repeats", "1", "--dim", "0",
+                         "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "E_SHAPE" in err
+        assert not out_path.exists()
+
+
+def test_exit_status_reaches_the_shell(tmp_path, square):
+    """``python -m earthmover.cli`` hands ``main``'s return value to the process exit status."""
+    src = os.path.dirname(os.path.dirname(earthmover.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    negative = write_csv(tmp_path / "w.csv", "1\n-1\n")
+    cases = [
+        ([], cli.EXIT_OK),
+        (["--u-weights", negative], cli.EXIT_VALIDATION),
+        (["--plan", str(tmp_path / "no-such-dir" / "plan.json")], cli.EXIT_IO),
+    ]
+    for extra, status in cases:
+        argv = [sys.executable, "-m", "earthmover.cli", "compute", "--u", square[0], "--v", square[1]]
+        proc = subprocess.run(argv + extra, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == status, proc.stderr
 
 
 class TestBench:

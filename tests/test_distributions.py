@@ -45,6 +45,10 @@ class TestValidate:
         with pytest.raises(ShapeError, match="E_SHAPE"):
             validate([])
 
+    def test_zero_coordinates_rejected(self):
+        with pytest.raises(ShapeError, match="E_SHAPE"):
+            validate(np.zeros((3, 0)))
+
     def test_ragged_input_rejected(self):
         with pytest.raises(ShapeError, match="E_SHAPE"):
             validate([[0, 1], [2]])
@@ -52,6 +56,10 @@ class TestValidate:
     def test_weight_length_mismatch(self):
         with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN"):
             validate([0, 1, 3], [1, 1])
+
+    def test_non_numeric_weights_rejected(self):
+        with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN"):
+            validate([0, 1], weights=["a", "b"])
 
     def test_weight_sum_zero(self):
         with pytest.raises(WeightSumError, match="E_WEIGHT_SUM"):
