@@ -91,6 +91,14 @@ def _cmd_compute(args):
     return EXIT_OK
 
 
+def _non_negative(text):
+    """argparse type of the ``bench`` counts: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _default_summary_path(out_path):
     root, ext = os.path.splitext(out_path)
     return f"{root}_summary{ext or '.csv'}"
@@ -143,10 +151,10 @@ def main(argv=None):
     compute.set_defaults(func=_cmd_compute)
 
     bench = sub.add_parser("bench", help="timing benchmark over power-of-two sizes")
-    bench.add_argument("--min-exp", type=int, default=0, help="smallest size exponent")
-    bench.add_argument("--max-exp", type=int, default=9, help="largest size exponent")
-    bench.add_argument("--repeats", type=int, default=100, help="trials per size")
-    bench.add_argument("--dim", type=int, default=2, help="coordinate dimension")
+    bench.add_argument("--min-exp", type=_non_negative, default=0, help="smallest size exponent")
+    bench.add_argument("--max-exp", type=_non_negative, default=9, help="largest size exponent")
+    bench.add_argument("--repeats", type=_non_negative, default=100, help="trials per size")
+    bench.add_argument("--dim", type=_non_negative, default=2, help="coordinate dimension")
     bench.add_argument("--seed", type=int, default=0, help="random generator seed")
     bench.add_argument("--out", default="bench.csv", help="per-trial CSV output path")
     bench.add_argument("--summary", default=None,

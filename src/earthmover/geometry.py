@@ -12,11 +12,13 @@ def pairwise_costs(u: DiscreteDistribution, v: DiscreteDistribution) -> np.ndarr
     """n x m matrix of Euclidean distances between support points.
 
     Entries are exactly zero iff the points coincide coordinate-for-coordinate.
-    No overflow guard: coordinates are assumed to be of ordinary magnitude.
+    Summed one axis at a time with ``hypot``, so no square under- or overflows.
     """
     if u.dim != v.dim:
         raise DimensionMismatchError(
             f"distributions have different dimensionality: {u.dim} vs {v.dim}"
         )
-    diff = u.points[:, None, :] - v.points[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    costs = np.zeros((u.size, v.size))
+    for k in range(u.dim):
+        np.hypot(costs, u.points[:, k, None] - v.points[None, :, k], out=costs)
+    return costs

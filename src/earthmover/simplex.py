@@ -281,23 +281,25 @@ def pivot_budget(n_sources: int, n_targets: int) -> int:
 def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     """Minimize total transport cost; returns plan, duals, and objective.
 
+    The start and the pivots run on the rows and columns with positive mass.
+    A zero-mass point carries no flow; afterwards each one gets the largest
+    dual value that keeps every reduced cost non-negative, which adds nothing
+    to the dual objective.
+
     ``callback(iteration, objective)`` is invoked after every pivot, which
-    lets tests watch the objective decrease. Raises IterationLimitError if
-    more than ``pivot_budget(n, m)`` pivots are needed, which would indicate
-    a cycling bug: these instances are always feasible and bounded.
+    lets tests watch the objective decrease. Raises IterationLimitError past
+    ``pivot_budget`` of the positive-mass sizes, which would indicate a
+    cycling bug: these instances are always feasible and bounded.
 
     ``OPTIMALITY_TOL`` and the duality-gap check of ``solution_distance`` are
     absolute, so costs are expected to be of order one. ``wasserstein_distance``
     scales its costs into [0.5, 1) by a power of two before calling this.
     """
-    live_rows = problem.supply > 0.0
-    live_cols = problem.demand > 0.0
-    if not (live_rows.all() and live_cols.all()):
-        return _solve_on_support(problem, live_rows, live_cols, callback)
-
-    n, m = problem.n_sources, problem.n_targets
-    cost = problem.cost
-    tree = initial_basis(problem)
+    live_rows, live_cols = problem.supply > 0.0, problem.demand > 0.0
+    rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
+    n, m = rows.size, cols.size
+    cost = problem.cost[np.ix_(rows, cols)]
+    tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
     pivot_limit = pivot_budget(n, m)
     reduced = np.empty_like(cost)
     objective = float(sum(f * cost[cell] for cell, f in tree.flows.items()))
@@ -316,19 +318,24 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
         iterations += 1
         if iterations > pivot_limit:
-            raise IterationLimitError(
-                f"exceeded {pivot_limit} pivots on a {n}x{m} instance"
-            )
+            raise IterationLimitError(f"exceeded {pivot_limit} pivots on a {n}x{m} instance")
 
         gain = float(reduced[enter_i, enter_j])
         objective += tree.pivot(enter_i, enter_j, gain) * gain
         if callback is not None:
             callback(iterations, objective)
 
-    plan = TransportPlan(
-        n, m, tuple((i, j, f) for (i, j), f in sorted(tree.flows.items()) if f > 0.0)
-    )
-    return TransportSolution(problem, plan, tree.potential.copy(), plan.cost(cost), iterations)
+    cost, n_all = problem.cost, problem.n_sources
+    dual = np.empty(n_all + problem.n_targets)
+    alpha, beta = dual[:n_all], dual[n_all:]
+    alpha[rows], beta[cols] = tree.potential[:n], tree.potential[n:]
+    alpha[~live_rows] = (cost[~live_rows][:, cols] - beta[cols]).min(axis=1)
+    beta[~live_cols] = (cost[:, ~live_cols] - alpha[:, None]).min(axis=0)
+    row_of, col_of = rows.tolist(), cols.tolist()
+    plan = TransportPlan(n_all, problem.n_targets, tuple(
+        (row_of[i], col_of[j], f) for (i, j), f in sorted(tree.flows.items()) if f > 0.0
+    ))
+    return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
 
 
 def _select_entering(cost: np.ndarray, potential: np.ndarray, reduced: np.ndarray):
@@ -344,25 +351,3 @@ def _select_entering(cost: np.ndarray, potential: np.ndarray, reduced: np.ndarra
         return None
     return cell
 
-
-def _solve_on_support(problem, live_rows, live_cols, callback):
-    """Solve without the zero-mass points, then price them in.
-
-    A zero-mass point carries no flow. Each one gets the largest dual value
-    that keeps every reduced cost non-negative; with zero mass it adds
-    nothing to the dual objective.
-    """
-    rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
-    cost = problem.cost
-    inner = solve(
-        TransportProblem(cost[np.ix_(rows, cols)], problem.supply[rows], problem.demand[cols]),
-        callback,
-    )
-    n, m = problem.n_sources, problem.n_targets
-    alpha, beta = np.empty(n), np.empty(m)
-    alpha[rows], beta[cols] = inner.dual[: rows.size], inner.dual[rows.size:]
-    alpha[~live_rows] = (cost[~live_rows][:, cols] - beta[cols]).min(axis=1)
-    beta[~live_cols] = (cost[:, ~live_cols] - alpha[:, None]).min(axis=0)
-    flows = tuple((int(rows[i]), int(cols[j]), f) for i, j, f in inner.plan.flows)
-    plan, dual = TransportPlan(n, m, flows), np.concatenate([alpha, beta])
-    return TransportSolution(problem, plan, dual, inner.objective, inner.iterations)

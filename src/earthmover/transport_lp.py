@@ -94,7 +94,7 @@ class TransportSolution:
 
 
 def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
-    """Assemble a balanced instance; marginal totals must agree to 1e-10."""
+    """Assemble a balanced instance: marginals >= 0 whose positive totals agree to 1e-10."""
     cost = np.asarray(cost, dtype=np.float64)
     supply = np.asarray(supply, dtype=np.float64)
     demand = np.asarray(demand, dtype=np.float64)
@@ -103,7 +103,10 @@ def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
             f"cost shape {cost.shape} does not match marginals "
             f"({supply.shape[0]}, {demand.shape[0]})"
         )
-    gap = abs(float(supply.sum()) - float(demand.sum()))
+    totals = float(supply.sum()), float(demand.sum())
+    if not ((supply >= 0.0).all() and (demand >= 0.0).all() and min(totals) > 0.0):
+        raise MassMismatchError("marginals must be non-negative with a positive total")
+    gap = abs(totals[0] - totals[1])
     if not gap <= MASS_BALANCE_TOL:
         raise MassMismatchError(
             f"marginal totals differ by {gap:.3e} (limit {MASS_BALANCE_TOL:.0e})"

@@ -1,10 +1,14 @@
 """Public entry point: dispatch, special values, plans, distance properties."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import earthmover
 from earthmover import (
     DimensionMismatchError,
     Finiteness,
@@ -99,6 +103,20 @@ class TestPlans:
         np.testing.assert_allclose(result.plan.target_marginals(), [0.5, 0.5], atol=1e-9)
         assert all(mass > 0 for _, _, mass in result.plan.flows)
 
+    def test_plan_on_lp_path_skips_zero_weight_points(self):
+        rng = np.random.default_rng(81)
+        for _ in range(20):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
+            w_u[0] = 0.0
+            w_u[-1] = w_v[-1] = 1.0
+            result = wasserstein_distance(
+                rng.normal(size=(n, 2)), rng.normal(size=(m, 2)), w_u, w_v, want_plan=True
+            )
+            assert all(w_u[i] > 0 and w_v[j] > 0 for i, j, _ in result.plan.flows)
+            np.testing.assert_allclose(result.plan.source_marginals(), w_u / w_u.sum(), atol=1e-12)
+            np.testing.assert_allclose(result.plan.target_marginals(), w_v / w_v.sum(), atol=1e-12)
+
     def test_no_plan_for_infinite_distance(self):
         result = wasserstein_distance([0, np.inf], [1, 2], want_plan=True)
         assert result.plan is None
@@ -144,6 +162,25 @@ class TestSpecialValues:
         result = wasserstein_distance([np.inf] + [0.0] * 5000, list(range(5001)))
         assert math.isinf(result.distance)
         assert result.iterations == 0
+
+
+def test_needs_only_numpy():
+    """Both paths run in a process where scipy cannot be imported."""
+    src = os.path.dirname(os.path.dirname(earthmover.__file__))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from earthmover import wasserstein_distance\n"
+        "for u, v in ([0, 1, 3], [5, 6, 8]), ([[0, 0], [1, 1]], [[1, 0]]):\n"
+        "    result = wasserstein_distance(u, v)\n"
+        "    print(result.path, result.distance)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["cdf1d", "5.0", "lp", "1.0"]
 
 
 class TestErrors:
@@ -263,21 +300,24 @@ class TestDistanceProperties:
             scaled = wasserstein_distance(scale * pts_u, scale * pts_v).distance
             assert abs(scaled - abs(scale) * base) <= 1e-8
 
-        # a 40x40 uniform instance and a weighted 40x33 integer grid with
-        # duplicates, far from cost scale one
-        uniform, grid = np.random.default_rng(3), np.random.default_rng(5)
+        # a 40x40 uniform instance, a weighted 40x33 integer grid with
+        # duplicates and a 30x25 column instance, far from cost scale one, out
+        # to where squared coordinate differences would under- or overflow
+        uniform, grid, column = (np.random.default_rng(seed) for seed in (3, 5, 9))
         instances = [
             (uniform.random((40, 2)), uniform.random((40, 2)), None, None),
             (grid.integers(0, 5, (40, 2)) * 1.0, grid.integers(0, 5, (33, 2)) * 1.0,
              grid.integers(1, 6, 40), grid.integers(1, 6, 33)),
+            (column.random((30, 1)), column.random((25, 1)), None, None),
         ]
         for pts_u, pts_v, w_u, w_v in instances:
             base = wasserstein_distance(pts_u, pts_v, w_u, w_v).distance
-            for k in (30, 100, 400):
+            for k in (30, 100, 200, 400, 600, 800, 1000):
                 for scale in (2.0**k, 2.0**-k):
                     scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v)
                     assert scaled.finiteness is Finiteness.FINITE
                     assert scaled.distance == scale * base
-            for scale in (1e9, 1e-9, 1e150, 1e-150):
-                scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v).distance
-                assert scaled == pytest.approx(scale * base, rel=1e-14)
+            for scale in (1e9, 1e-9, 1e150, 1e-150, 1e160, 1e-160, 1e200, 1e-200, 1e300, 1e-300):
+                scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v)
+                assert scaled.finiteness is Finiteness.FINITE
+                assert scaled.distance == pytest.approx(scale * base, rel=1e-14)

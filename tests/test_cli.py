@@ -197,6 +197,18 @@ class TestInputRejection:
         assert "E_SHAPE" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("option", ["--min-exp", "--max-exp", "--repeats", "--dim"])
+    def test_negative_bench_count_is_a_usage_error(self, capsys, tmp_path, option):
+        out_path = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--max-exp", "0", "--repeats", "1", option, "-1",
+                      "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"argument {option}: -1 is negative" in err
+        assert not out_path.exists()
+
 
 def test_exit_status_reaches_the_shell(tmp_path, square):
     """``python -m earthmover.cli`` hands ``main``'s return value to the process exit status."""

@@ -212,6 +212,27 @@ class TestSolve:
             expected = lp_distance(pts_u[w_u > 0], pts_v[w_v > 0], w_u[w_u > 0], w_v[w_v > 0])
             assert abs(solution_distance(solution) - expected) <= 1e-12
 
+    def test_callback_with_zero_mass_points(self):
+        rng = np.random.default_rng(78)
+        pivots = 0
+        for _ in range(20):
+            n, m = int(rng.integers(4, 16)), int(rng.integers(4, 16))
+            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
+            w_u[0] = w_v[0] = 0.0
+            w_u[-1] = w_v[-1] = 1.0
+            u = normalize(validate(rng.normal(size=(n, 2)), w_u))
+            v = normalize(validate(rng.normal(size=(m, 2)), w_v))
+            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            calls = []
+            solution = solve(problem, callback=lambda k, objective: calls.append((k, objective)))
+            assert [k for k, _ in calls] == list(range(1, solution.iterations + 1))
+            trace = [objective for _, objective in calls]
+            assert all(after <= before for before, after in zip(trace, trace[1:]))
+            if trace:
+                assert abs(trace[-1] - solution.objective) <= 1e-12
+            pivots += solution.iterations
+        assert pivots >= 20
+
     def test_start_is_strongly_feasible(self):
         # zero flows may sit only on cells whose lower end is a source
         rng = np.random.default_rng(72)

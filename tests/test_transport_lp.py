@@ -88,6 +88,15 @@ class TestBuildProblem:
         with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
             build_problem(np.ones((2, 2)), [0.5, 0.25, 0.25], [0.5, 0.5])
 
+    def test_negative_marginal_rejected(self):
+        # balanced totals, but the solver would read -0.5 as a zero mass
+        with pytest.raises(MassMismatchError, match="non-negative"):
+            build_problem(np.ones((2, 1)), [-0.5, 1.5], [1.0])
+
+    def test_zero_total_rejected(self):
+        with pytest.raises(MassMismatchError, match="positive total"):
+            build_problem(np.ones((1, 1)), [0.0], [0.0])
+
 
 class TestConstraintStructure:
     def test_every_column_has_two_ones(self):
