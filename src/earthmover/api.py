@@ -2,7 +2,7 @@
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,8 +61,9 @@ def wasserstein_distance(
         positive finite sum; they are normalized to total mass one before the
         distance is computed.
     want_plan : bool, optional
-        Attach the optimal transport plan to the result. Only available for
-        finite distances.
+        Attach the optimal plan, only for finite distances: a ``TransportPlan``
+        whose entry k moves ``mass[k]`` from u point ``rows[k]`` to v point
+        ``cols[k]``, built on the 1D path from the quantile form.
 
     Returns
     -------
@@ -80,6 +81,9 @@ def wasserstein_distance(
     5.0
     >>> wasserstein_distance([0, 1], [0, 1], [3, 1], [2, 2]).distance
     0.25
+    >>> plan = wasserstein_distance([0, 1], [0, 1], [3, 1], [2, 2], want_plan=True).plan
+    >>> plan.rows, plan.cols, plan.mass
+    (array([0, 0, 1]), array([0, 1, 1]), array([0.5 , 0.25, 0.25]))
     """
     started = time.perf_counter_ns()
 
@@ -109,13 +113,22 @@ def wasserstein_distance(
         plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
         iterations = 0
     else:
+        # a cost is at most 2 sqrt(d) <= 2^shift times the largest |coordinate|;
+        # where that could overflow, costs come from points scaled by 2^-shift
+        shift = 1 + math.ceil(math.log2(u_dist.dim) / 2)
+        if math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))[1] + shift > 1023:
+            u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -shift))
+            v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -shift))
+        else:
+            shift = 0
         costs = pairwise_costs(u_dist, v_dist)
         # the solver's tolerances are absolute: solve on costs in [0.5, 1),
         # scaled by a power of two so that no cost is rounded
         _, exponent = math.frexp(float(costs.max()))
         problem = build_problem(np.ldexp(costs, -exponent), u_dist.weights, v_dist.weights)
         solution = solve(problem)
-        distance = math.ldexp(max(0.0, solution_distance(solution)), exponent)
+        # the product by 2.0**shift overflows to inf; math.ldexp would raise
+        distance = math.ldexp(max(0.0, solution_distance(solution)), exponent) * 2.0**shift
         plan = solution.plan if want_plan else None
         iterations = solution.iterations
 

@@ -2,8 +2,8 @@
 
 For step CDFs U and V the first-order distance is the integral of |U - V|
 over the line, which reduces to a finite sum over consecutive positions of
-the merged support. The greedy monotone plan built by ``greedy_plan_1d``
-realizes the same cost and serves as an independent cross-check.
+the merged support. ``greedy_plan_1d`` builds the monotone plan of the same
+cost from the quantile form of that integral.
 """
 
 from dataclasses import dataclass
@@ -59,32 +59,21 @@ def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
 
 
 def greedy_plan_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> TransportPlan:
-    """Optimal 1D plan by ascending mass assignment.
+    """Optimal 1D plan: the monotone coupling of the two quantile functions.
 
-    Both supports are walked in sorted order; the smallest-position available
-    source mass fills the smallest-position unfilled target. The resulting
-    plan satisfies both marginals and its cost equals ``cdf_distance_1d``.
-    Flow indices refer to the original input order.
+    0 and both sides' cumulative weights (stable position order, capped at the
+    smaller total) cut the mass axis into intervals. Each interval moves its
+    width between the first points of either side whose cumulative weight
+    reaches its upper cut, so a zero-weight point gets no flow. Entries come
+    in quantile order; indices refer to the original input order.
     """
-    u = normalize(u)
-    v = normalize(v)
+    u, v = normalize(u), normalize(v)
     u_order = np.argsort(u.points[:, 0], kind="stable")
     v_order = np.argsort(v.points[:, 0], kind="stable")
-    remaining_u = u.weights[u_order].copy()
-    remaining_v = v.weights[v_order].copy()
-
-    flows = []
-    i = j = 0
-    while i < len(u_order) and j < len(v_order):
-        mass = min(remaining_u[i], remaining_v[j])
-        if mass > 0:
-            flows.append((int(u_order[i]), int(v_order[j]), float(mass)))
-        remaining_u[i] -= mass
-        remaining_v[j] -= mass
-        # min() guarantees at least one side hits exactly zero
-        if remaining_u[i] == 0.0:
-            i += 1
-        if remaining_v[j] == 0.0:
-            j += 1
-
-    return TransportPlan(u.size, v.size, tuple(flows))
+    u_cum = np.cumsum(u.weights[u_order])
+    v_cum = np.cumsum(v.weights[v_order])
+    top = min(u_cum[-1], v_cum[-1])
+    cuts = np.unique(np.minimum(np.concatenate([[0.0], u_cum, v_cum]), top))
+    rows = u_order[np.searchsorted(u_cum, cuts[1:])]
+    cols = v_order[np.searchsorted(v_cum, cuts[1:])]
+    return TransportPlan(u.size, v.size, rows, cols, np.diff(cuts))

@@ -83,7 +83,8 @@ def _cmd_compute(args):
     }
     text = "\n".join(f"{key}: {value}" for key, value in payload.items())
     if args.plan is not None:
-        plan = [] if result.plan is None else [[i, j, mass] for i, j, mass in result.plan.flows]
+        p = result.plan
+        plan = [] if p is None else list(zip(p.rows.tolist(), p.cols.tolist(), p.mass.tolist()))
         with open(args.plan, "w") as fh:
             json.dump(plan, fh)
         payload["plan"] = plan

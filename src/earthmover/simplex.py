@@ -331,10 +331,12 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     alpha[rows], beta[cols] = tree.potential[:n], tree.potential[n:]
     alpha[~live_rows] = (cost[~live_rows][:, cols] - beta[cols]).min(axis=1)
     beta[~live_cols] = (cost[:, ~live_cols] - alpha[:, None]).min(axis=0)
-    row_of, col_of = rows.tolist(), cols.tolist()
-    plan = TransportPlan(n_all, problem.n_targets, tuple(
-        (row_of[i], col_of[j], f) for (i, j), f in sorted(tree.flows.items()) if f > 0.0
-    ))
+    # the positive flows in row-major order, mapped back to the full problem
+    at_i, at_j = tree._cells()
+    flow = tree.flow[1:]
+    kept = np.flatnonzero(flow > 0.0)
+    kept = kept[np.lexsort((at_j[kept], at_i[kept]))]
+    plan = TransportPlan(n_all, problem.n_targets, rows[at_i[kept]], cols[at_j[kept]], flow[kept])
     return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
 
 

@@ -54,32 +54,27 @@ class TransportProblem:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Sparse transport plan: (source, target, mass) triples, masses > 0."""
+    """Sparse plan in three arrays: ``mass[k] > 0`` moves from ``rows[k]`` to ``cols[k]``."""
 
     n_sources: int
     n_targets: int
-    flows: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
 
     def source_marginals(self) -> np.ndarray:
-        out = np.zeros(self.n_sources)
-        for i, _, mass in self.flows:
-            out[i] += mass
-        return out
+        return np.bincount(self.rows, weights=self.mass, minlength=self.n_sources)
 
     def target_marginals(self) -> np.ndarray:
-        out = np.zeros(self.n_targets)
-        for _, j, mass in self.flows:
-            out[j] += mass
-        return out
+        return np.bincount(self.cols, weights=self.mass, minlength=self.n_targets)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_sources, self.n_targets))
-        for i, j, mass in self.flows:
-            out[i, j] += mass
+        np.add.at(out, (self.rows, self.cols), self.mass)
         return out
 
     def cost(self, cost_matrix: np.ndarray) -> float:
-        return float(sum(mass * cost_matrix[i, j] for i, j, mass in self.flows))
+        return float(self.mass @ cost_matrix[self.rows, self.cols])
 
 
 @dataclass(frozen=True)

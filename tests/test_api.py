@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import earthmover
 from earthmover import (
@@ -18,6 +20,9 @@ from earthmover import (
     WeightSumError,
     wasserstein_distance,
 )
+from earthmover.distributions import validate
+from earthmover.geometry import pairwise_costs
+from earthmover.simplex import OPTIMALITY_TOL
 
 
 class TestReferenceValues:
@@ -93,7 +98,8 @@ class TestPlans:
         result = wasserstein_distance([0, 1, 3], [5, 6, 8], want_plan=True)
         assert result.plan is not None
         np.testing.assert_allclose(result.plan.source_marginals(), [1 / 3] * 3, atol=1e-12)
-        assert [(i, j) for i, j, _ in result.plan.flows] == [(0, 0), (1, 1), (2, 2)]
+        pairs = zip(result.plan.rows.tolist(), result.plan.cols.tolist())
+        assert list(pairs) == [(0, 0), (1, 1), (2, 2)]
 
     def test_plan_on_lp_path(self):
         result = wasserstein_distance(
@@ -101,7 +107,7 @@ class TestPlans:
         )
         np.testing.assert_allclose(result.plan.source_marginals(), [0.5, 0.5], atol=1e-9)
         np.testing.assert_allclose(result.plan.target_marginals(), [0.5, 0.5], atol=1e-9)
-        assert all(mass > 0 for _, _, mass in result.plan.flows)
+        assert (result.plan.mass > 0).all()
 
     def test_plan_on_lp_path_skips_zero_weight_points(self):
         rng = np.random.default_rng(81)
@@ -113,7 +119,7 @@ class TestPlans:
             result = wasserstein_distance(
                 rng.normal(size=(n, 2)), rng.normal(size=(m, 2)), w_u, w_v, want_plan=True
             )
-            assert all(w_u[i] > 0 and w_v[j] > 0 for i, j, _ in result.plan.flows)
+            assert (w_u[result.plan.rows] > 0).all() and (w_v[result.plan.cols] > 0).all()
             np.testing.assert_allclose(result.plan.source_marginals(), w_u / w_u.sum(), atol=1e-12)
             np.testing.assert_allclose(result.plan.target_marginals(), w_v / w_v.sum(), atol=1e-12)
 
@@ -155,6 +161,31 @@ class TestSpecialValues:
         # agree across it, so the interval must not contribute 0 * inf = nan
         result = wasserstein_distance([-1e308, 1e308], [-1e308, 1e308])
         assert result.distance == 0.0
+        assert result.finiteness is Finiteness.FINITE
+
+    # these run with overflow warnings as errors: the scaling decision is made
+    # before any cost is computed, so no difference or hypot may overflow
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_lp_cost_past_the_float_maximum_is_infinite(self, d):
+        result = wasserstein_distance([[-1e308] + [0.0] * (d - 1)], [[1e308] + [0.0] * (d - 1)])
+        assert result.path == "lp"
+        assert math.isinf(result.distance)
+        assert result.finiteness is Finiteness.INFINITE
+
+    def test_lp_costs_past_the_float_maximum_at_distance_zero(self):
+        pts = [[-1e308, 0.0], [1e308, 0.0]]
+        result = wasserstein_distance(pts, pts, want_plan=True)
+        assert result.distance == 0.0
+        assert result.finiteness is Finiteness.FINITE
+        assert (result.plan.rows == result.plan.cols).all()
+        # 9 axes at +-1e308: every difference overflows, and so would the hypot
+        big = np.full((2, 9), 1e308)
+        big[1] *= -1
+        assert wasserstein_distance(big, big).distance == 0.0
+
+    def test_lp_cost_near_the_float_maximum_is_exact(self):
+        result = wasserstein_distance([[4e307, 0.0]], [[-4e307, 0.0]])
+        assert result.distance == 8e307
         assert result.finiteness is Finiteness.FINITE
 
     def test_classification_happens_before_solving(self):
@@ -321,3 +352,70 @@ class TestDistanceProperties:
                 scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v)
                 assert scaled.finiteness is Finiteness.FINITE
                 assert scaled.distance == pytest.approx(scale * base, rel=1e-14)
+
+
+@st.composite
+def weighted_pair(draw, flat):
+    """Two weighted point sets: flat for the CDF path, (n, d) rows for the LP path."""
+    d = 1 if flat else draw(st.integers(1, 3))
+
+    def point_set():
+        n = draw(st.integers(1, 6))
+        coords = draw(st.lists(st.floats(-10, 10), min_size=n * d, max_size=n * d))
+        weights = draw(st.lists(st.floats(0.01, 10), min_size=n, max_size=n))
+        pts = np.array(coords).reshape(n, d)
+        return (pts[:, 0] if flat else pts), np.array(weights)
+
+    return point_set(), point_set()
+
+
+both_paths = pytest.mark.parametrize("flat", [True, False], ids=["cdf1d", "lp"])
+close = dict(rel=1e-12, abs=1e-12)
+
+
+def slack(flat, u, v):
+    """How far two answers to one instance may differ.
+
+    1e-12 on the CDF path. The simplex stops once no reduced cost, on costs
+    scaled into [0.5, 1) by 2^-e, is below -OPTIMALITY_TOL; its answer may then
+    exceed the optimum by up to OPTIMALITY_TOL * 2^e <= 2 OPTIMALITY_TOL max(cost).
+    """
+    if flat:
+        return close
+    gap = 2 * OPTIMALITY_TOL * pairwise_costs(validate(u), validate(v)).max()
+    return dict(rel=1e-12, abs=1e-12 + gap)
+
+
+class TestInvarianceProperties:
+    @both_paths
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_symmetry(self, flat, data):
+        (u, u_w), (v, v_w) = data.draw(weighted_pair(flat))
+        forward = wasserstein_distance(u, v, u_w, v_w)
+        backward = wasserstein_distance(v, u, v_w, u_w, want_plan=True)
+        assert backward.distance == pytest.approx(forward.distance, **slack(flat, u, v))
+        costs = pairwise_costs(validate(v), validate(u))
+        assert backward.plan.cost(costs) == pytest.approx(backward.distance, **close)
+
+    @both_paths
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_permuting_points_with_their_weights(self, flat, data):
+        (u, u_w), (v, v_w) = data.draw(weighted_pair(flat))
+        p = np.array(data.draw(st.permutations(range(len(u)))))
+        q = np.array(data.draw(st.permutations(range(len(v)))))
+        base = wasserstein_distance(u, v, u_w, v_w).distance
+        permuted = wasserstein_distance(u[p], v[q], u_w[p], v_w[q]).distance
+        assert permuted == pytest.approx(base, **slack(flat, u, v))
+
+    @both_paths
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_translation(self, flat, data):
+        (u, u_w), (v, v_w) = data.draw(weighted_pair(flat))
+        d = 1 if flat else u.shape[1]
+        offset = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=d, max_size=d)))
+        base = wasserstein_distance(u, v, u_w, v_w).distance
+        moved = wasserstein_distance(u + offset, v + offset, u_w, v_w).distance
+        assert moved == pytest.approx(base, **slack(flat, u, v))

@@ -10,11 +10,40 @@ from earthmover.cdf1d import cdf_distance_1d, greedy_plan_1d, merged_support
 from earthmover.distributions import normalize, validate
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import solve
-from earthmover.transport_lp import build_problem, solution_distance
+from earthmover.transport_lp import TransportPlan, build_problem, solution_distance
 
 
 def dist1d(points, weights=None):
     return normalize(validate(points, weights))
+
+
+def pairs(plan):
+    return list(zip(plan.rows.tolist(), plan.cols.tolist()))
+
+
+def loop_plan_1d(u, v):
+    """Reference monotone plan: walk both sorted supports, moving the smaller remaining mass."""
+    u_order = np.argsort(u.points[:, 0], kind="stable")
+    v_order = np.argsort(v.points[:, 0], kind="stable")
+    remaining_u = u.weights[u_order].copy()
+    remaining_v = v.weights[v_order].copy()
+
+    flows = []
+    i = j = 0
+    while i < len(u_order) and j < len(v_order):
+        mass = min(remaining_u[i], remaining_v[j])
+        if mass > 0:
+            flows.append((int(u_order[i]), int(v_order[j]), float(mass)))
+        remaining_u[i] -= mass
+        remaining_v[j] -= mass
+        # min() guarantees at least one side hits exactly zero
+        if remaining_u[i] == 0.0:
+            i += 1
+        if remaining_v[j] == 0.0:
+            j += 1
+
+    rows, cols, mass = (np.array(column) for column in zip(*flows))
+    return TransportPlan(u.size, v.size, rows, cols, mass)
 
 
 class TestCdfDistance:
@@ -99,22 +128,22 @@ class TestMergedSupport:
 class TestGreedyPlan:
     def test_sorted_pairing(self):
         plan = greedy_plan_1d(dist1d([0, 1, 3]), dist1d([5, 6, 8]))
-        assert [(i, j) for i, j, _ in plan.flows] == [(0, 0), (1, 1), (2, 2)]
-        np.testing.assert_allclose([m for _, _, m in plan.flows], [1 / 3] * 3)
+        assert pairs(plan) == [(0, 0), (1, 1), (2, 2)]
+        np.testing.assert_allclose(plan.mass, [1 / 3] * 3)
         costs = pairwise_costs(dist1d([0, 1, 3]), dist1d([5, 6, 8]))
         assert plan.cost(costs) == pytest.approx(5.0, rel=1e-12)
 
     def test_identity_plan(self):
         u = dist1d([2.0, 7.0])
         plan = greedy_plan_1d(u, u)
-        assert [(i, j) for i, j, _ in plan.flows] == [(0, 0), (1, 1)]
+        assert pairs(plan) == [(0, 0), (1, 1)]
         assert plan.cost(pairwise_costs(u, u)) == 0.0
 
     def test_unsorted_inputs_use_original_indices(self):
         u = dist1d([3, 0, 1])  # sorted order is 1, 2, 0
         v = dist1d([8, 5, 6])
         plan = greedy_plan_1d(u, v)
-        assert [(i, j) for i, j, _ in plan.flows] == [(1, 1), (2, 2), (0, 0)]
+        assert pairs(plan) == [(1, 1), (2, 2), (0, 0)]
 
     def test_marginals_and_cost_match_cdf(self):
         rng = np.random.default_rng(23)
@@ -126,11 +155,33 @@ class TestGreedyPlan:
             plan = greedy_plan_1d(u, v)
             np.testing.assert_allclose(plan.source_marginals(), u.weights, atol=1e-9)
             np.testing.assert_allclose(plan.target_marginals(), v.weights, atol=1e-9)
-            assert all(mass > 0 for _, _, mass in plan.flows)
+            assert (plan.mass > 0).all()
             worst = max(
                 worst, abs(plan.cost(pairwise_costs(u, v)) - cdf_distance_1d(u, v))
             )
         assert worst <= 1e-10
+
+    def test_matches_loop_oracle_on_ties_and_zero_weights(self):
+        rng = np.random.default_rng(61)
+
+        def tied_sample(k):
+            weights = (rng.random(k) + 0.01) * (rng.random(k) >= 0.2)
+            weights[rng.integers(k)] += 1.0  # a positive total
+            return dist1d(rng.integers(0, 8, k) / 4, weights)
+
+        for _ in range(200):
+            u, v = tied_sample(int(rng.integers(1, 40))), tied_sample(int(rng.integers(1, 40)))
+            plan, oracle = greedy_plan_1d(u, v), loop_plan_1d(u, v)
+            for got, want in ((plan.source_marginals(), oracle.source_marginals()),
+                              (plan.target_marginals(), oracle.target_marginals())):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            costs = pairwise_costs(u, v)
+            assert abs(plan.cost(costs) - oracle.cost(costs)) <= 1e-12
+            assert (u.weights[plan.rows] > 0).all() and (v.weights[plan.cols] > 0).all()
+
+            self_plan = greedy_plan_1d(u, u)
+            assert (self_plan.rows == self_plan.cols).all()
+            assert self_plan.cost(pairwise_costs(u, u)) == 0.0
 
     def test_five_versus_four_point_instance(self):
         rng = np.random.default_rng(99)

@@ -64,6 +64,21 @@ class TestSuccess:
             dense[i, j] += mass
         np.testing.assert_allclose(dense, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
 
+    def test_plan_file_on_cdf_path(self, capsys, tmp_path):
+        u = write_csv(tmp_path / "u.csv", "3\n0\n1\n")
+        v = write_csv(tmp_path / "v.csv", "8\n5\n6\n")
+        u_w = write_csv(tmp_path / "uw.csv", "1\n2\n1\n")
+        plan_path = tmp_path / "plan.json"
+        code, out, _ = run(capsys, "--u", u, "--v", v, "--u-weights", u_w, "--plan", str(plan_path))
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["path"] == "cdf1d"
+        rows = json.loads(plan_path.read_text())
+        assert rows == payload["plan"]
+        assert rows and all(len(row) == 3 for row in rows)
+        assert all(type(i) is int and type(j) is int and type(mass) is float for i, j, mass in rows)
+        assert sum(mass for _, _, mass in rows) == pytest.approx(1.0, abs=1e-12)
+
     def test_one_dimensional_weighted_input(self, capsys, tmp_path):
         u = write_csv(tmp_path / "u.csv", "0\n1\n")
         v = write_csv(tmp_path / "v.csv", "0\n1\n")

@@ -124,8 +124,8 @@ class TestSolve:
             beta = solution.dual[n:]
             reduced = problem.cost - alpha[:, None] - beta[None, :]
             assert reduced.min() >= -1e-9
-            assert all(mass > 0 for _, _, mass in solution.plan.flows)
-            assert len(solution.plan.flows) <= n + m - 1
+            assert (solution.plan.mass > 0).all()
+            assert solution.plan.mass.size <= n + m - 1
             np.testing.assert_allclose(
                 solution.plan.source_marginals(), u.weights, atol=1e-9
             )
@@ -208,7 +208,7 @@ class TestSolve:
             problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
             solution = solve(problem)
             assert_certified(problem, solution)
-            assert all(w_u[i] > 0 and w_v[j] > 0 for i, j, _ in solution.plan.flows)
+            assert (w_u[solution.plan.rows] > 0).all() and (w_v[solution.plan.cols] > 0).all()
             expected = lp_distance(pts_u[w_u > 0], pts_v[w_v > 0], w_u[w_u > 0], w_v[w_v > 0])
             assert abs(solution_distance(solution) - expected) <= 1e-12
 

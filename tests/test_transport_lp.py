@@ -175,7 +175,8 @@ class TestSolutionDistance:
 
 class TestTransportPlan:
     def test_dense_and_marginals_roundtrip(self):
-        plan = TransportPlan(2, 2, ((0, 0, 0.5), (0, 1, 0.25), (1, 1, 0.25)))
+        plan = TransportPlan(2, 2, np.array([0, 0, 1]), np.array([0, 1, 1]),
+                             np.array([0.5, 0.25, 0.25]))
         np.testing.assert_array_equal(plan.to_dense(), [[0.5, 0.25], [0.0, 0.25]])
         np.testing.assert_array_equal(plan.source_marginals(), [0.75, 0.25])
         np.testing.assert_array_equal(plan.target_marginals(), [0.5, 0.5])
