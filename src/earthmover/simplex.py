@@ -21,8 +21,10 @@ the start has exactly n + m - 1 cells. The remaining masses are compared as
 (mass, epsilon) pairs of the perturbation below, which is what decides the
 line to cross out when the masses tie.
 
-Pivot. Every cell is priced against the potentials, and the most negative
-reduced cost enters if it is below -OPTIMALITY_TOL (Dantzig). The entering
+Pivot. The tree keeps the reduced cost cost[i, j] - potential[i] -
+potential[n + j] of every cell in an n x m matrix, ``reduced``, in step with
+the potentials. The most negative entry enters if it is below
+-OPTIMALITY_TOL (Dantzig), so pricing is one argmin. The entering
 cell (i, j) closes a cycle through the tree paths from i and from j up to
 their apex, found with the interval test. Flow theta moves round it: the
 cells above the sources on i's path and above the targets on j's path lose
@@ -33,9 +35,12 @@ apex, or if there is none, the blocking cell on i's path nearest i. The
 subtree cut off below the leaving cell is re-rooted at the entering endpoint
 (parents and flows shift one step along the path between them), its
 preorder block is spliced in behind the other endpoint, and its potentials
-shift by the entering reduced cost. These updates are NumPy slices and
-fancy indexing over the nodes; subtree sizes outside the moved block change
-only along the cycle.
+shift by the entering reduced cost: up on its sources and down on its
+targets. Only the rows of those sources and the columns of those targets
+change in ``reduced``, so a pivot updates them and leaves the rest, and the
+entering cell's reduced cost becomes zero as it joins the tree. These
+updates are NumPy slices and fancy indexing over the nodes; subtree sizes
+outside the moved block change only along the cycle.
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
 more supply, every target epsilon less demand, and the root (n + m - 1)
@@ -58,9 +63,12 @@ needs every supply and demand positive; ``solve`` sets zero-mass points
 aside before pivoting and gives them dual values afterwards.
 
 The objective is kept up to date as theta times the entering reduced cost,
-so the per-pivot callback costs nothing extra. Before stopping, potentials
-are derived afresh from the tree and every cell is priced again, so
-incremental drift can never mask a profitable cell.
+so the per-pivot callback costs nothing extra. The per-pivot updates of the
+potentials and of ``reduced`` round, so both may drift from the values the
+tree defines. Before stopping, ``derive_potentials`` therefore computes the
+potentials afresh from the tree and rebuilds every reduced cost from them,
+the only place the whole matrix is rebuilt, and every cell is priced again:
+drift can never mask a profitable cell.
 """
 
 import math
@@ -78,8 +86,10 @@ OPTIMALITY_TOL = 1e-9
 class SpanningTree:
     """A basis of the transportation simplex in the array layout of the module docstring.
 
-    ``flows`` gives the basic cells as a dict ``(i, j) -> flow``, degenerate
-    zeros included.
+    ``reduced`` holds the reduced cost of every cell against ``potential``.
+    ``derive_potentials`` rebuilds both from the tree; ``pivot`` updates
+    them for the moved subtree only. ``flows`` gives the basic cells as a dict
+    ``(i, j) -> flow``, degenerate zeros included.
     """
 
     def __init__(self, cost: np.ndarray, parent: list, flow: list, order: list):
@@ -96,8 +106,7 @@ class SpanningTree:
         for x in reversed(order[1:]):
             size[parent[x]] += size[x]
         self.size = np.array(size, dtype=np.intp)
-        # +1 on sources, -1 on targets: how a potential shift enters each node
-        self.sign = np.where(self.slots < n, 1.0, -1.0)
+        self.reduced = np.empty_like(cost)
         self.derive_potentials()
 
     @property
@@ -120,13 +129,19 @@ class SpanningTree:
         return edge
 
     def derive_potentials(self):
-        """Potentials from scratch, down the preorder from potential[root] = 0."""
+        """Potentials from scratch, down the preorder from potential[root] = 0, and reduced costs.
+
+        This is the one place the whole ``reduced`` matrix is rebuilt.
+        """
         edge = self._edge_costs().tolist()
         parent = self.parent.tolist()
         potential = [0.0] * len(parent)
         for x in self.order[1:].tolist():
             potential[x] = edge[x] - potential[parent[x]]
         self.potential = np.array(potential)
+        n = self.n_sources
+        np.subtract(self.cost, self.potential[:n, None], out=self.reduced)
+        self.reduced -= self.potential[None, n:]
 
     def _cycle(self, i: int, t: int):
         """Nodes from i and from t up to, not including, their apex; each starts at its endpoint.
@@ -138,13 +153,16 @@ class SpanningTree:
         ends = self.size[order]
         ends += self.slots
         at_i, at_t = int(self.pos[i]), int(self.pos[t])
-        below = int(np.flatnonzero(ends[: min(at_i, at_t) + 1] > max(at_i, at_t))[-1]) + 1
-        side_i = order[below + np.flatnonzero(ends[below:at_i + 1] > at_i)[::-1]]
-        side_t = order[below + np.flatnonzero(ends[below:at_t + 1] > at_t)[::-1]]
+        below = int((ends[: min(at_i, at_t) + 1] > max(at_i, at_t)).nonzero()[0][-1]) + 1
+        side_i = order[below + (ends[below:at_i + 1] > at_i).nonzero()[0][::-1]]
+        side_t = order[below + (ends[below:at_t + 1] > at_t).nonzero()[0][::-1]]
         return side_i, side_t
 
     def pivot(self, i: int, j: int, gain: float) -> float:
-        """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta."""
+        """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta.
+
+        The potentials and reduced costs of the moved subtree shift with it.
+        """
         t = self.n_sources + j
         flow = self.flow
         side_i, side_t = self._cycle(i, t)
@@ -152,13 +170,13 @@ class SpanningTree:
         flow_i, flow_t = flow[minus_i], flow[minus_t]
         theta = float(min(flow_i.min(initial=math.inf), flow_t.min(initial=math.inf)))
 
-        blocking = np.flatnonzero(flow_t == theta)
+        blocking = (flow_t == theta).nonzero()[0]
         if blocking.size:
             # leaving cell on j's path: the block holding j hangs from i
             cut = 2 * int(blocking[-1]) + 1
             path, losing, gaining, new_parent, shift = side_t[:cut], side_t[cut:], side_i, i, -gain
         else:
-            cut = 2 * int(np.flatnonzero(flow_i == theta)[0]) + 1
+            cut = 2 * int((flow_i == theta).nonzero()[0][0]) + 1
             path, losing, gaining, new_parent, shift = side_i[:cut], side_i[cut:], side_t, t, gain
         if theta > 0.0:
             flow[minus_i] -= theta
@@ -168,7 +186,12 @@ class SpanningTree:
         self._reroot(path, new_parent, theta, losing, gaining)
         first = self.pos[path[0]]
         block = self.order[first:first + self.size[path[0]]]
-        self.potential[block] += shift * self.sign[block]
+        source = block < self.n_sources
+        sources, targets = block[source], block[~source]
+        self.potential[sources] += shift
+        self.potential[targets] -= shift
+        self.reduced[sources] -= shift
+        self.reduced[:, targets - self.n_sources] += shift
         return theta
 
     def _reroot(self, path, new_parent, theta, losing, gaining):
@@ -286,6 +309,11 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     dual value that keeps every reduced cost non-negative, which adds nothing
     to the dual objective.
 
+    Each pivot is priced from the reduced costs the tree keeps in step with
+    its potentials. When none is below -OPTIMALITY_TOL, the potentials and
+    every reduced cost are derived afresh and priced once more, and the solve
+    stops only if that pass finds none either.
+
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError past
     ``pivot_budget`` of the positive-mass sizes, which would indicate a
@@ -301,17 +329,16 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     cost = problem.cost[np.ix_(rows, cols)]
     tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
     pivot_limit = pivot_budget(n, m)
-    reduced = np.empty_like(cost)
     objective = float(sum(f * cost[cell] for cell, f in tree.flows.items()))
 
     iterations = 0
     while True:
-        entering = _select_entering(cost, tree.potential, reduced)
+        entering = _select_entering(tree.reduced)
         if entering is None:
-            # re-certify against freshly derived potentials before stopping,
-            # so incremental drift can never mask a profitable cell
+            # re-certify against freshly derived potentials and reduced costs
+            # before stopping, so incremental drift can never mask a profitable cell
             tree.derive_potentials()
-            entering = _select_entering(cost, tree.potential, reduced)
+            entering = _select_entering(tree.reduced)
             if entering is None:
                 break
         enter_i, enter_j = entering
@@ -320,7 +347,7 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
         if iterations > pivot_limit:
             raise IterationLimitError(f"exceeded {pivot_limit} pivots on a {n}x{m} instance")
 
-        gain = float(reduced[enter_i, enter_j])
+        gain = float(tree.reduced[enter_i, enter_j])
         objective += tree.pivot(enter_i, enter_j, gain) * gain
         if callback is not None:
             callback(iterations, objective)
@@ -340,16 +367,13 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
 
 
-def _select_entering(cost: np.ndarray, potential: np.ndarray, reduced: np.ndarray):
-    """Cell of the most negative reduced cost, or None when none is below -OPTIMALITY_TOL.
+def _select_entering(reduced: np.ndarray):
+    """Cell of the most negative entry of ``reduced``, or None when none is below -OPTIMALITY_TOL.
 
-    The reduced costs are written into ``reduced``.
+    ``reduced`` is the matrix a ``SpanningTree`` keeps in step with its
+    potentials, so pricing every cell is this one argmin.
     """
-    n = cost.shape[0]
-    np.subtract(cost, potential[:n, None], out=reduced)
-    reduced -= potential[None, n:]
-    cell = divmod(int(np.argmin(reduced)), reduced.shape[1])
+    cell = divmod(int(reduced.argmin()), reduced.shape[1])
     if reduced[cell] >= -OPTIMALITY_TOL:
         return None
     return cell
-

@@ -355,9 +355,10 @@ class TestDistanceProperties:
 
 
 @st.composite
-def weighted_pair(draw, flat):
+def weighted_pair(draw, flat, d=None):
     """Two weighted point sets: flat for the CDF path, (n, d) rows for the LP path."""
-    d = 1 if flat else draw(st.integers(1, 3))
+    if d is None:
+        d = 1 if flat else draw(st.integers(1, 3))
 
     def point_set():
         n = draw(st.integers(1, 6))
@@ -419,3 +420,15 @@ class TestInvarianceProperties:
         base = wasserstein_distance(u, v, u_w, v_w).distance
         moved = wasserstein_distance(u + offset, v + offset, u_w, v_w).distance
         assert moved == pytest.approx(base, **slack(flat, u, v))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_in_the_plane(self, data):
+        # 2D input always takes the LP path
+        (u, u_w), (v, v_w) = data.draw(weighted_pair(False, d=2))
+        angle = data.draw(st.floats(0, 2 * math.pi))
+        c, s = math.cos(angle), math.sin(angle)
+        turn = np.array([[c, -s], [s, c]])
+        base = wasserstein_distance(u, v, u_w, v_w).distance
+        turned = wasserstein_distance(u @ turn.T, v @ turn.T, u_w, v_w).distance
+        assert turned == pytest.approx(base, **slack(False, u, v))

@@ -268,6 +268,75 @@ class TestSolve:
             solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
         assert checked.count(0.0) >= 50  # degenerate pivots were exercised
 
+    def test_pivots_keep_reduced_costs_in_step_with_the_potentials(self, monkeypatch):
+        # pricing reads tree.reduced alone, so each pivot must leave it equal
+        # to what the potentials give, and zero on every basic cell
+        pivot = SpanningTree.pivot
+        pivots = 0
+
+        def checked_pivot(tree, i, j, gain):
+            nonlocal pivots
+            theta = pivot(tree, i, j, gain)
+            n = tree.n_sources
+            fresh = tree.cost - tree.potential[:n, None] - tree.potential[None, n:]
+            np.testing.assert_allclose(tree.reduced, fresh, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tree.reduced[tree._cells()], 0.0, rtol=0, atol=1e-12)
+            pivots += 1
+            return theta
+
+        monkeypatch.setattr(SpanningTree, "pivot", checked_pivot)
+        rng = np.random.default_rng(86)
+        for trial in range(30):
+            n, m = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+            if trial % 2:
+                pts_u, pts_v = rng.random((n, 2)), rng.random((m, 2))
+            else:
+                pts_u = rng.integers(0, 4, (n, 2)).astype(float)
+                pts_v = rng.integers(0, 4, (m, 2)).astype(float)
+            # zero-mass points are set aside, so the tree is smaller than n x m
+            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
+            w_u[0] = w_v[-1] = 1.0
+            u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
+            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            assert_certified(problem, solve(problem))
+        assert pivots >= 200
+
+
+class TestAgainstNetworkX:
+    def test_integer_instances_match_network_simplex(self):
+        # network_simplex is exact on integer data. Rounded distances on a
+        # small grid and random small integers both tie often, and zero
+        # masses leave rows and columns out of the tree.
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(88)
+        pivots = 0
+        for trial in range(60):
+            n, m = int(rng.integers(1, 11)), int(rng.integers(1, 11))
+            if trial % 2:
+                cost = rng.integers(0, 6, (n, m))
+            else:
+                gap = rng.integers(0, 5, (n, 1, 2)) - rng.integers(0, 5, (1, m, 2))
+                cost = np.rint(np.hypot(gap[..., 0], gap[..., 1])).astype(int)
+            supply = rng.integers(0, 5, n)
+            supply[-1] += 1
+            demand = rng.multinomial(supply.sum(), rng.dirichlet(np.ones(m)))
+            graph = nx.DiGraph()
+            graph.add_nodes_from((("u", i), {"demand": -int(s)}) for i, s in enumerate(supply))
+            graph.add_nodes_from((("v", j), {"demand": int(d)}) for j, d in enumerate(demand))
+            graph.add_weighted_edges_from(
+                (("u", i), ("v", j), int(cost[i, j])) for i in range(n) for j in range(m)
+            )
+            total = int(supply.sum())
+            expected = nx.network_simplex(graph)[0] / total
+
+            problem = build_problem(cost.astype(float), supply / total, demand / total)
+            solution = solve(problem)
+            assert_certified(problem, solution)
+            assert solution.objective == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert solution_distance(solution) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            pivots += solution.iterations
+        assert pivots >= 50
+
 
 class TestAgainstSciPyAtScale:
     """Sizes well past the certificates above.
