@@ -241,7 +241,7 @@ class TestSolve:
             u = normalize(validate(rng.integers(0, 3, (n, 2)).astype(float), rng.integers(1, 4, n)))
             v = normalize(validate(rng.integers(0, 3, (m, 2)).astype(float), rng.integers(1, 4, m)))
             tree = initial_basis(build_problem(pairwise_costs(u, v), u.weights, v.weights))
-            assert (np.flatnonzero(tree.flow[1:] == 0.0) + 1 < n).all()
+            assert (np.flatnonzero(np.asarray(tree.flow)[1:] == 0.0) + 1 < n).all()
 
     def test_pivots_keep_the_tree_strongly_feasible(self, monkeypatch):
         # the anti-cycling argument rests on this holding after every pivot
@@ -250,7 +250,7 @@ class TestSolve:
 
         def checked_pivot(tree, i, j, gain):
             theta = pivot(tree, i, j, gain)
-            zero_above = np.flatnonzero(tree.flow[1:] == 0.0) + 1
+            zero_above = np.flatnonzero(np.asarray(tree.flow)[1:] == 0.0) + 1
             assert (zero_above < tree.n_sources).all()
             checked.append(theta)
             return theta
@@ -278,7 +278,8 @@ class TestSolve:
             nonlocal pivots
             theta = pivot(tree, i, j, gain)
             n = tree.n_sources
-            fresh = tree.cost - tree.potential[:n, None] - tree.potential[None, n:]
+            potential = np.asarray(tree.potential)
+            fresh = tree.cost - potential[:n, None] - potential[None, n:]
             np.testing.assert_allclose(tree.reduced, fresh, rtol=0, atol=1e-12)
             np.testing.assert_allclose(tree.reduced[tree._cells()], 0.0, rtol=0, atol=1e-12)
             pivots += 1
@@ -298,6 +299,63 @@ class TestSolve:
             w_u[0] = w_v[-1] = 1.0
             u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
             problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            assert_certified(problem, solve(problem))
+        assert pivots >= 200
+
+    def test_pivots_keep_the_tree_structure(self, monkeypatch):
+        # the cycle walk and the splice read order, pos and size as one
+        # preorder; check it against subtrees found from parent alone
+        pivot = SpanningTree.pivot
+        pivots = 0
+
+        def checked_pivot(tree, i, j, gain):
+            nonlocal pivots
+            theta = pivot(tree, i, j, gain)
+            n, total = tree.n_sources, len(tree.parent)
+            assert sorted(tree.order) == list(range(total)) and tree.order[0] == 0
+            assert all(tree.pos[x] == k for k, x in enumerate(tree.order))
+            # below[a]: the nodes whose walk up parent passes a, a included
+            below = [{x} for x in range(total)]
+            for x in range(1, total):
+                assert (x < n) != (tree.parent[x] < n)  # a cell joins a source and a target
+                ancestors = []
+                a = tree.parent[x]
+                while a != -1 and len(ancestors) < total:
+                    ancestors.append(a)
+                    a = tree.parent[a]
+                assert a == -1  # no cycle
+                for a in ancestors:
+                    below[a].add(x)
+            assert tree.parent[0] == -1 and len(below[0]) == total
+            for x in range(total):
+                start = tree.pos[x]
+                assert tree.size[x] == len(below[x])
+                assert tree.order[start] == x
+                assert set(tree.order[start:start + tree.size[x]]) == below[x]
+            flow = np.asarray(tree.flow)[1:]
+            rows, cols = tree._cells()
+            assert (flow >= 0.0).all()
+            np.testing.assert_allclose(np.bincount(rows, flow, n), supply, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.bincount(cols, flow, total - n), demand, rtol=0, atol=1e-12)
+            pivots += 1
+            return theta
+
+        monkeypatch.setattr(SpanningTree, "pivot", checked_pivot)
+        rng = np.random.default_rng(86)
+        for trial in range(30):
+            n, m = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+            if trial % 2:
+                pts_u, pts_v = rng.random((n, 2)), rng.random((m, 2))
+            else:
+                pts_u = rng.integers(0, 4, (n, 2)).astype(float)
+                pts_v = rng.integers(0, 4, (m, 2)).astype(float)
+            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
+            w_u[0] = w_v[-1] = 1.0
+            u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
+            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+            # the tree holds the positive-mass rows and columns only; the
+            # checked pivot reads these two
+            supply, demand = problem.supply[w_u > 0], problem.demand[w_v > 0]
             assert_certified(problem, solve(problem))
         assert pivots >= 200
 

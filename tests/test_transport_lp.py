@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from earthmover.distributions import normalize, validate
 from earthmover.errors import DualityGapError, MassMismatchError
 from earthmover.geometry import pairwise_costs
-from earthmover.simplex import solve
+from earthmover.simplex import OPTIMALITY_TOL, solve
 from earthmover.transport_lp import (
     TransportPlan,
     build_problem,
@@ -135,6 +135,40 @@ class TestConstraintStructure:
                 reduced = linprog(c, A_eq=A[keep], b_eq=b[keep], method="highs")
                 assert reduced.status == 0
                 assert abs(reduced.fun - full.fun) <= 1e-9
+
+
+class TestAgainstLinprog:
+    def test_random_instances_match_highs(self):
+        # HiGHS solves the dense LP. n != m and zero masses that leave rows
+        # and columns out of the tree. Small integers and distances on a
+        # small grid tie often; uniform costs do not, but their reduced costs
+        # can be small, where an early stop would show.
+        rng = np.random.default_rng(92)
+        pivots = 0
+        for trial in range(42):
+            n = int(rng.integers(1, 13))
+            m = int(rng.choice([k for k in range(1, 13) if k != n]))
+            if trial % 3 == 0:
+                cost = rng.integers(0, 4, (n, m)).astype(float)
+            elif trial % 3 == 1:
+                u = normalize(validate(rng.integers(0, 4, (n, 2)).astype(float)))
+                v = normalize(validate(rng.integers(0, 4, (m, 2)).astype(float)))
+                cost = pairwise_costs(u, v)
+            else:
+                cost = rng.random((n, m))
+            supply, demand = rng.integers(0, 4, n).astype(float), rng.integers(0, 4, m).astype(float)
+            supply[-1] += 1.0
+            demand[0] += 1.0
+            problem = build_problem(cost, supply / supply.sum(), demand / demand.sum())
+            A, b = materialize_constraints(problem)
+            highs = linprog(cost.ravel(), A_eq=A, b_eq=b, method="highs")
+            assert highs.status == 0
+            solution = solve(problem)
+            bound = 1e-12 + 2 * OPTIMALITY_TOL * cost.max()
+            assert abs(solution.objective - highs.fun) <= bound
+            assert abs(solution_distance(solution) - highs.fun) <= bound
+            pivots += solution.iterations
+        assert pivots >= 40
 
 
 class TestSolutionDistance:
