@@ -2,17 +2,18 @@
 
 Layout. Sources are nodes 0..n-1 and targets are nodes n..n+m-1. A basis is
 a spanning tree of n + m - 1 cells rooted at source 0, stored in Python lists
-over the nodes (the layout of the network simplex behind POT's ``ot.emd``;
-Bonneel et al., SIGGRAPH Asia 2011; Kovács 2015):
+over the nodes (the tree indices of Ahuja, Magnanti & Orlin, *Network Flows*,
+1993, ch. 11):
 
 - ``parent[x]``: the node above x, -1 at the root;
 - ``flow[x]``: the flow on the basic cell joining x to its parent, so each
   basic cell is stored once, at its lower end;
-- ``order``: the nodes in preorder, with ``pos`` its inverse and ``size[x]``
-  the node count of x's subtree. The subtree of x is the contiguous block
-  ``order[pos[x]:pos[x] + size[x]]``, and a is an ancestor of x exactly when
-  ``pos[a] <= pos[x] < pos[a] + size[a]``, so no depth is stored;
-- ``potential[x]``: the dual value of x, with potential[0] = 0.
+- ``kids[x]``: the nodes whose parent is x, in no particular order;
+- ``depth[x]``: the number of cells between x and the root.
+
+The dual values, ``potential[x]`` with potential[0] = 0, are not kept in
+step with the pivots: ``derive_potentials`` is their one writer, and computes
+them afresh from the tree.
 
 Start. Cells are visited by ascending cost, ties in row-major order. A cell
 whose row and column are both live receives the smaller remaining mass of
@@ -22,61 +23,64 @@ the start has exactly n + m - 1 cells. The remaining masses are compared as
 line to cross out when the masses tie.
 
 Pivot. The tree keeps the reduced cost cost[i, j] - potential[i] -
-potential[n + j] of every cell in an n x m matrix, ``reduced``, in step with
-the potentials. The most negative entry enters if it is below
--OPTIMALITY_TOL (Dantzig), so pricing is one argmin. The entering
-cell (i, j) closes a cycle through the tree paths from i and from j up to
-their apex, found with the interval test. Flow theta moves round it: the
-cells above the sources on i's path and above the targets on j's path lose
-theta, the others gain it. Among the cells that reach zero, the leaving cell
-is the last one met when the cycle is walked from the apex down to i, across
-(i, j) and up from j to the apex: the blocking cell on j's path nearest the
-apex, or if there is none, the blocking cell on i's path nearest i. The
-subtree cut off below the leaving cell is re-rooted at the entering endpoint
-(parents and flows shift one step along the path between them), its
-preorder block is spliced in behind the other endpoint, and its potentials
-shift by the entering reduced cost: up on its sources and down on its
-targets. Only the rows of those sources and the columns of those targets
-change in ``reduced``, so a pivot updates them and leaves the rest, and the
-entering cell's reduced cost becomes zero as it joins the tree.
+potential[n + j] of every cell in an n x m matrix, ``reduced``, for the
+potentials that ``derive_potentials`` would compute from the current tree.
+The most negative entry enters if it is below -OPTIMALITY_TOL
+(Dantzig), so pricing is one argmin. The entering cell (i, j) closes a cycle
+through the tree paths from i and from j up to their apex, found by stepping
+up from whichever of the two is deeper. Flow theta moves round it: the cells
+above the sources on i's path and above the targets on j's path lose theta,
+the others gain it. Among the cells that reach zero, the leaving cell is the
+last one met when the cycle is walked from the apex down to i, across (i, j)
+and up from j to the apex: the blocking cell on j's path nearest the apex,
+or if there is none, the blocking cell on i's path nearest i. The subtree
+cut off below the leaving cell is re-rooted at the entering endpoint:
+parents and flows shift one step along the path between them, each path
+node moves from its old parent's ``kids`` to the ``kids`` of the node below
+it, and the entering endpoint hangs from the other one. The duals of the
+moved subtree shift by the entering reduced cost, up on its sources and down
+on its targets, and nothing else changes. So only the rows of those sources
+and the columns of those targets change in ``reduced``: a pivot updates them
+and leaves the rest, and the entering cell's reduced cost becomes zero as it
+joins the tree.
 
 A pivot touches only the cycle (a median of ~31 nodes below the apex on
-128 x 128 assignments) and the moved block (a median of 2), so the tree update is
-scalar walks over the lists, as in LEMON's network simplex: up from i with
-the interval test to the apex, then up from j; the ratio test, flow shifts,
-re-rooting and potential shift over the cycle, path or block; and one list
-slice assignment for the preorder splice, with ``pos`` rewritten over the
-spliced range. Subtree sizes outside the moved block change only along the
-cycle. NumPy holds only ``reduced``: a moved block with few rows or columns
+128 x 128 assignments) and the moved subtree (a median of 2), so the tree
+update is scalar walks over the lists, as in LEMON's network simplex: up the
+cycle by depth; the ratio test, flow shifts and re-rooting over the cycle or
+path; and one walk of the moved subtree down ``kids``, which sets its depths
+(no other depth changes) and splits it into the rows and columns to update.
+NumPy holds only ``reduced``: a moved subtree with few rows or columns
 updates each as a basic slice, a larger one by one fancy-indexed update.
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
 more supply, every target epsilon less demand, and the root (n + m - 1)
-epsilon less supply, which keeps the problem balanced. In any tree the cell
-above x then carries f + size[x] epsilon when x is a source and
-f - size[x] epsilon when x is a target, which is never zero, so no basis of
-the perturbed problem is degenerate. The start allocates the perturbed
-masses, compared lexicographically: every remaining mass stays positive in
-that order, two lines can run out together only at the last cell, and
-every start flow is positive in the perturbed problem. In the unperturbed
-problem this says that zero flows sit only on cells above sources: the start
-tree is strongly feasible (Cunningham 1976) by construction. The
-perturbed ratio test picks, among the blocking cells, the one with the
-smallest epsilon part: the cell above a target (part -size) nearest the
-apex, else the cell above a source (part +size) nearest i, which is the rule
-above. Each pivot therefore moves a positive perturbed amount round a cycle
-of negative reduced cost, the perturbed objective falls strictly, no basis
-repeats, and no fallback rule such as Bland's is needed. The argument
-needs every supply and demand positive; ``solve`` sets zero-mass points
-aside before pivoting and gives them dual values afterwards.
+epsilon less supply, which keeps the problem balanced. In any tree, with s
+the number of nodes in x's subtree, the cell above x then carries
+f + s epsilon when x is a source and f - s epsilon when x is a target, which
+is never zero, so no basis of the perturbed problem is degenerate. The start
+allocates the perturbed masses, compared lexicographically: every remaining
+mass stays positive in that order, two lines can run out together only at
+the last cell, and every start flow is positive in the perturbed problem. In
+the unperturbed problem this says that zero flows sit only on cells above
+sources: the start tree is strongly feasible (Cunningham 1976) by
+construction. The perturbed ratio test picks, among the blocking cells, the
+one with the smallest epsilon part: the cell above a target (part -s)
+nearest the apex, whose subtree is the largest, else the cell above a source
+(part +s) nearest i, whose subtree is the smallest, which is the rule above.
+Each pivot therefore moves a positive perturbed amount round a cycle of
+negative reduced cost, the perturbed objective falls strictly, no basis
+repeats, and no fallback rule such as Bland's is needed. The argument needs
+every supply and demand positive; ``solve`` sets zero-mass points aside
+before pivoting and gives them dual values afterwards.
 
 The objective is kept up to date as theta times the entering reduced cost,
-so the per-pivot callback costs nothing extra. The per-pivot updates of the
-potentials and of ``reduced`` round, so both may drift from the values the
-tree defines. Before stopping, ``derive_potentials`` therefore computes the
-potentials afresh from the tree and rebuilds every reduced cost from them,
-the only place the whole matrix is rebuilt, and every cell is priced again:
-drift can never mask a profitable cell.
+so the per-pivot callback costs nothing extra. The per-pivot updates of
+``reduced`` round, so it may drift from the values the tree defines. Before
+stopping, ``derive_potentials`` therefore computes the potentials afresh from
+the tree and rebuilds every reduced cost from them, the only place the whole
+matrix is rebuilt, and every cell is priced again: drift can never mask a
+profitable cell.
 """
 
 import math
@@ -99,29 +103,24 @@ SLICE_LINES = 6
 class SpanningTree:
     """A basis of the transportation simplex in the layout of the module docstring.
 
-    ``parent``, ``flow``, ``order``, ``pos``, ``size`` and ``potential`` are
-    Python lists, walked one node at a time by ``pivot``. ``reduced`` is the
-    one NumPy array: the reduced cost of every cell against ``potential``.
-    ``derive_potentials`` rebuilds both from the tree; ``pivot`` updates them
-    for the moved subtree only, one row or column slice at a time when the
-    subtree has at most ``SLICE_LINES`` of them, else by fancy indexing.
-    ``flows`` gives the basic cells as a dict ``(i, j) -> flow`` in node
-    order, degenerate zeros included.
+    ``parent``, ``flow``, ``kids`` and ``depth`` are Python lists, walked one
+    node at a time by ``pivot``. ``reduced`` is the one NumPy array: the
+    reduced cost of every cell. ``derive_potentials`` computes ``potential``
+    and ``depth`` from scratch, down from the root, and rebuilds ``reduced``
+    from the potentials. ``pivot`` updates ``parent``, ``flow`` and
+    ``kids``, and the depths and the rows and columns of ``reduced`` of the
+    moved subtree only: one slice at a time when it has at most
+    ``SLICE_LINES`` rows (or columns), else by fancy indexing. It writes no
+    potential. ``flows`` gives the basic cells as a dict ``(i, j) -> flow``
+    in node order, degenerate zeros included.
     """
 
-    def __init__(self, cost: np.ndarray, parent: list, flow: list, order: list):
-        n, m = cost.shape
+    def __init__(self, cost: np.ndarray, parent: list, flow: list, kids: list):
         self.cost = cost
-        self.n_sources = n
+        self.n_sources = cost.shape[0]
         self.parent = parent
         self.flow = flow
-        self.order = order
-        self.pos = [0] * (n + m)
-        for k, x in enumerate(order):
-            self.pos[x] = k
-        self.size = [1] * (n + m)
-        for x in reversed(order[1:]):
-            self.size[parent[x]] += self.size[x]
+        self.kids = kids
         self.reduced = np.empty_like(cost)
         self.derive_potentials()
 
@@ -139,16 +138,22 @@ class SpanningTree:
         return np.where(source, nodes, up), np.where(source, up, nodes) - n
 
     def derive_potentials(self):
-        """Potentials from scratch, down the preorder from potential[root] = 0, and reduced costs.
+        """Depths and potentials from scratch, down from the root (potential 0), and reduced costs.
 
-        This is the one place the whole ``reduced`` matrix is rebuilt.
+        This is the one place the potentials are written and the whole
+        ``reduced`` matrix is rebuilt.
         """
         edge = [0.0] + self.cost[self._cells()].tolist()
-        parent = self.parent
+        parent, kids = self.parent, self.kids
         potential = [0.0] * len(parent)
-        for x in self.order[1:]:
+        depth = [0] * len(parent)
+        stack = list(kids[0])
+        while stack:
+            x = stack.pop()
             potential[x] = edge[x] - potential[parent[x]]
-        self.potential = potential
+            depth[x] = depth[parent[x]] + 1
+            stack += kids[x]
+        self.potential, self.depth = potential, depth
         n = self.n_sources
         at = np.array(potential)
         np.subtract(self.cost, at[:n, None], out=self.reduced)
@@ -157,29 +162,27 @@ class SpanningTree:
     def _cycle(self, i: int, t: int):
         """Nodes from i and from t up to, not including, their apex; each starts at its endpoint.
 
-        a is an ancestor of t exactly when pos[a] <= pos[t] < pos[a] + size[a],
-        so the walk up from i stops at the apex without knowing depths.
+        Each step goes up from the deeper of the two, from i when they are
+        equally deep, so the two walks meet at the apex.
         """
-        parent, pos, size = self.parent, self.pos, self.size
-        at_t = pos[t]
-        side_i = []
-        apex = i
-        while not pos[apex] <= at_t < pos[apex] + size[apex]:
-            side_i.append(apex)
-            apex = parent[apex]
-        side_t = []
-        while t != apex:
-            side_t.append(t)
-            t = parent[t]
+        parent, depth = self.parent, self.depth
+        side_i, side_t = [], []
+        while i != t:
+            if depth[i] >= depth[t]:
+                side_i.append(i)
+                i = parent[i]
+            else:
+                side_t.append(t)
+                t = parent[t]
         return side_i, side_t
 
     def pivot(self, i: int, j: int, gain: float) -> float:
         """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta.
 
-        The potentials and reduced costs of the moved subtree shift with it.
+        The reduced costs of the moved subtree's rows and columns shift with it.
         """
         n = self.n_sources
-        flow = self.flow
+        parent, flow, kids, depth = self.parent, self.flow, self.kids, self.depth
         side_i, side_t = self._cycle(i, n + j)
         minus_t = [flow[x] for x in side_t[0::2]]
         minus_i = [flow[x] for x in side_i[0::2]]
@@ -188,31 +191,42 @@ class SpanningTree:
 
         if theta_t == theta:
             # leaving cell on j's path, the blocking one nearest the apex:
-            # the block holding j hangs from i
+            # the subtree holding j hangs from i
             cut = 2 * (len(minus_t) - minus_t[::-1].index(theta)) - 1
-            path, losing, gaining, new_parent, shift = side_t[:cut], side_t[cut:], side_i, i, -gain
+            path, new_parent, shift = side_t[:cut], i, -gain
         else:
             cut = 2 * minus_i.index(theta) + 1
-            path, losing, gaining, new_parent, shift = side_i[:cut], side_i[cut:], side_t, n + j, gain
+            path, new_parent, shift = side_i[:cut], n + j, gain
         if theta > 0.0:
             for side in (side_i, side_t):
                 for x in side[0::2]:
                     flow[x] -= theta
                 for x in side[1::2]:
                     flow[x] += theta
-        self._reroot(path, new_parent, theta, losing, gaining)
 
-        first = self.pos[path[0]]
-        block = self.order[first:first + self.size[path[0]]]
-        potential = self.potential
+        # cut the cell above path[-1]; going up the path, each node hangs
+        # from the one below it by that node's old cell
+        kids[parent[path[-1]]].remove(path[-1])
+        carried = flow[path[0]]
+        for below, x in zip(path, path[1:]):
+            kids[x].remove(below)
+            kids[below].append(x)
+            parent[x] = below
+            flow[x], carried = carried, flow[x]
+        parent[path[0]] = new_parent
+        flow[path[0]] = theta
+        kids[new_parent].append(path[0])
+
         sources, targets = [], []
-        for x in block:
+        stack = [path[0]]
+        while stack:
+            x = stack.pop()
+            depth[x] = depth[parent[x]] + 1
             if x < n:
-                potential[x] += shift
                 sources.append(x)
             else:
-                potential[x] -= shift
                 targets.append(x - n)
+            stack += kids[x]
         reduced = self.reduced
         if len(sources) <= SLICE_LINES:
             for x in sources:
@@ -226,56 +240,22 @@ class SpanningTree:
             reduced[:, targets] += shift
         return theta
 
-    def _reroot(self, path, new_parent, theta, losing, gaining):
-        """Cut the cell above ``path[-1]`` and hang its subtree from ``new_parent`` by ``path[0]``.
-
-        ``path`` runs up the tree from the entering endpoint to the node below
-        the leaving cell. ``losing`` and ``gaining`` are the other cycle nodes
-        below the apex whose subtrees lose and gain the moved block.
-        """
-        parent, flow, order, pos, size = self.parent, self.flow, self.order, self.pos, self.size
-        first = pos[path[-1]]
-        moved = size[path[-1]]
-        # the block re-rooted at path[0]: its old subtree, then each path node
-        # with what it kept of its old subtree, in preorder. Going up, each
-        # path node hangs from the one below it by that node's old cell.
-        start, end = pos[path[0]], pos[path[0]] + size[path[0]]
-        block = order[start:end]
-        carried = flow[path[0]]
-        for below, x in zip(path, path[1:]):
-            up_start, up_end = pos[x], pos[x] + size[x]
-            block += order[up_start:start]
-            block += order[end:up_end]
-            size[x] = moved - (end - start)
-            parent[x] = below
-            flow[x], carried = carried, flow[x]
-            start, end = up_start, up_end
-        parent[path[0]] = new_parent
-        flow[path[0]] = theta
-        size[path[0]] = moved
-        for x in losing:
-            size[x] -= moved
-        for x in gaining:
-            size[x] += moved
-
-        # splice the block in right behind new_parent
-        anchor = pos[new_parent]
-        if anchor < first:
-            lo, hi = anchor + 1, first + moved
-            block += order[lo:first]
-        else:
-            lo, hi = first, anchor + 1
-            block[:0] = order[first + moved:hi]
-        order[lo:hi] = block
-        for k, x in enumerate(block, lo):
-            pos[x] = k
-
 
 def initial_basis(problem: TransportProblem) -> SpanningTree:
     """Strongly feasible starting tree by the cheapest-cell rule (see the module docstring).
 
     With zero masses the start is still a feasible basis of n + m - 1 cells,
     but not strongly feasible; ``solve`` never passes such a problem.
+
+    Sources are nodes 0 and 1 and targets nodes 2 and 3 of a 2 x 2 problem:
+
+    >>> from earthmover.transport_lp import build_problem
+    >>> problem = build_problem(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.75, 0.25], [0.5, 0.5])
+    >>> tree = initial_basis(problem)
+    >>> tree.parent, tree.kids, tree.depth
+    ([-1, 3, 0, 0], [[2, 3], [], [], [1]], [0, 2, 1, 1])
+    >>> tree.flows
+    {(1, 1): 0.25, (0, 0): 0.5, (0, 1): 0.25}
     """
     n, m = problem.n_sources, problem.n_targets
     total = n + m
@@ -316,20 +296,20 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
         start += chunk
         chunk *= 2
 
-    # root the n + m - 1 cells at source 0, depth first, recording preorder
+    # root the n + m - 1 cells at source 0, depth first
     parent = [-1] * total
     flow = [0.0] * total
-    order = []
+    kids = [[] for _ in range(total)]
     stack = [0]
     while stack:
         x = stack.pop()
-        order.append(x)
         for y, f in adjacent[x]:
             if y != parent[x]:
                 parent[y] = x
                 flow[y] = f
+                kids[x].append(y)
                 stack.append(y)
-    return SpanningTree(problem.cost, parent, flow, order)
+    return SpanningTree(problem.cost, parent, flow, kids)
 
 
 def pivot_budget(n_sources: int, n_targets: int) -> int:
@@ -347,7 +327,7 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     to the dual objective.
 
     Each pivot is priced from the reduced costs the tree keeps in step with
-    its potentials. When none is below -OPTIMALITY_TOL, the potentials and
+    its pivots. When none is below -OPTIMALITY_TOL, the potentials and
     every reduced cost are derived afresh and priced once more, and the solve
     stops only if that pass finds none either.
 
@@ -408,7 +388,7 @@ def _select_entering(reduced: np.ndarray):
     """Cell of the most negative entry of ``reduced``, or None when none is below -OPTIMALITY_TOL.
 
     ``reduced`` is the matrix a ``SpanningTree`` keeps in step with its
-    potentials, so pricing every cell is this one argmin.
+    pivots, so pricing every cell is this one argmin.
     """
     cell = divmod(int(reduced.argmin()), reduced.shape[1])
     if reduced[cell] >= -OPTIMALITY_TOL:

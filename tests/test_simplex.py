@@ -1,5 +1,6 @@
 """Transportation simplex: starting basis, pivoting, optimality certificates."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -184,6 +185,33 @@ class TestSolve:
             assert abs(d_uv - d_vu) <= 1e-9
             assert d_uw <= d_uv + d_vw + 1e-8
 
+    @pytest.mark.parametrize(
+        "family, seed, iterations, distance",
+        [
+            ("uniform", 3, 45, "0x1.f4f67faed5164p-4"),
+            ("uniform", 4, 58, "0x1.2701b6eb73971p-3"),
+            ("grid", 5, 45, "0x1.8773b8b6b33f2p-1"),
+            ("grid", 6, 47, "0x1.22d7359cfcd99p+0"),
+        ],
+    )
+    def test_pivot_sequence_is_pinned(self, family, seed, iterations, distance):
+        # a change to the tree layout must not change the pivots it takes,
+        # even when it would still end at an optimum
+        rng = np.random.default_rng(seed)
+        if family == "uniform":
+            # equal weights and n == m: mostly degenerate pivots
+            pts_u, pts_v = rng.random((40, 2)), rng.random((40, 2))
+            u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
+        else:
+            pts_u = rng.integers(0, 6, (48, 2)).astype(float)
+            pts_v = rng.integers(0, 6, (36, 2)).astype(float)
+            w_u = rng.integers(1, 6, 48).astype(float)
+            w_v = rng.integers(1, 6, 36).astype(float)
+            u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
+        solution = solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
+        assert solution.iterations == iterations
+        assert solution_distance(solution).hex() == distance
+
     def test_pivot_budget_is_enforced(self, monkeypatch):
         rng = np.random.default_rng(70)
         u = normalize(validate(rng.normal(size=(6, 2))))
@@ -270,17 +298,18 @@ class TestSolve:
 
     def test_pivots_keep_reduced_costs_in_step_with_the_potentials(self, monkeypatch):
         # pricing reads tree.reduced alone, so each pivot must leave it equal
-        # to what the potentials give, and zero on every basic cell
+        # to what potentials derived afresh from the tree give, and zero on
+        # every basic cell
         pivot = SpanningTree.pivot
         pivots = 0
 
         def checked_pivot(tree, i, j, gain):
             nonlocal pivots
             theta = pivot(tree, i, j, gain)
-            n = tree.n_sources
-            potential = np.asarray(tree.potential)
-            fresh = tree.cost - potential[:n, None] - potential[None, n:]
-            np.testing.assert_allclose(tree.reduced, fresh, rtol=0, atol=1e-12)
+            fresh = copy.copy(tree)
+            fresh.reduced = np.empty_like(tree.reduced)
+            fresh.derive_potentials()
+            np.testing.assert_allclose(tree.reduced, fresh.reduced, rtol=0, atol=1e-12)
             np.testing.assert_allclose(tree.reduced[tree._cells()], 0.0, rtol=0, atol=1e-12)
             pivots += 1
             return theta
@@ -303,8 +332,8 @@ class TestSolve:
         assert pivots >= 200
 
     def test_pivots_keep_the_tree_structure(self, monkeypatch):
-        # the cycle walk and the splice read order, pos and size as one
-        # preorder; check it against subtrees found from parent alone
+        # the cycle walk reads depth and the subtree walk reads kids; check
+        # both against parent alone
         pivot = SpanningTree.pivot
         pivots = 0
 
@@ -312,26 +341,19 @@ class TestSolve:
             nonlocal pivots
             theta = pivot(tree, i, j, gain)
             n, total = tree.n_sources, len(tree.parent)
-            assert sorted(tree.order) == list(range(total)) and tree.order[0] == 0
-            assert all(tree.pos[x] == k for k, x in enumerate(tree.order))
-            # below[a]: the nodes whose walk up parent passes a, a included
-            below = [{x} for x in range(total)]
+            parent, depth = tree.parent, tree.depth
+            assert parent[0] == -1 and depth[0] == 0
+            children = [[] for _ in range(total)]
             for x in range(1, total):
-                assert (x < n) != (tree.parent[x] < n)  # a cell joins a source and a target
-                ancestors = []
-                a = tree.parent[x]
-                while a != -1 and len(ancestors) < total:
-                    ancestors.append(a)
-                    a = tree.parent[a]
-                assert a == -1  # no cycle
-                for a in ancestors:
-                    below[a].add(x)
-            assert tree.parent[0] == -1 and len(below[0]) == total
-            for x in range(total):
-                start = tree.pos[x]
-                assert tree.size[x] == len(below[x])
-                assert tree.order[start] == x
-                assert set(tree.order[start:start + tree.size[x]]) == below[x]
+                assert (x < n) != (parent[x] < n)  # a cell joins a source and a target
+                children[parent[x]].append(x)
+                a, steps = x, 0
+                while a > 0 and steps < total:
+                    a, steps = parent[a], steps + 1
+                assert a == 0  # no cycle, and the root reaches every node
+            # kids[x] holds exactly the nodes whose parent is x, none twice
+            assert [sorted(kids) for kids in tree.kids] == children
+            assert all(depth[x] == depth[parent[x]] + 1 for x in range(1, total))
             flow = np.asarray(tree.flow)[1:]
             rows, cols = tree._cells()
             assert (flow >= 0.0).all()
