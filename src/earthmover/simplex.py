@@ -20,7 +20,17 @@ whose row and column are both live receives the smaller remaining mass of
 the two, and the line that runs out is crossed out: one line per cell, so
 the start has exactly n + m - 1 cells. The remaining masses are compared as
 (mass, epsilon) pairs of the perturbation below, which is what decides the
-line to cross out when the masses tie.
+line to cross out when the masses tie. No ranking of all n * m cells is
+built: the walk goes in rounds over the block of live rows and columns, as
+in the matrix-minimum start of network simplex codes (Kovacs, *Minimum-cost
+flow algorithms: an experimental evaluation*, 2015). A round partitions out
+the block's n + m cheapest cells, adds every cell tied with the last of
+them, and sorts only these, stably, in the block's row-major order, which
+is the global one. The walk is the same as over a full ranking: a cell
+outside the block has a crossed-out line, and lines never come back to life,
+so it would be skipped; and every cell of the block up to the round's last
+cost is visited and either crosses out a line or meets one already crossed
+out, so the next round's block holds only costlier cells.
 
 Pivot. The tree keeps the reduced cost cost[i, j] - potential[i] -
 potential[n + j] of every cell in an n x m matrix, ``reduced``, for the
@@ -50,8 +60,12 @@ update is scalar walks over the lists, as in LEMON's network simplex: up the
 cycle by depth; the ratio test, flow shifts and re-rooting over the cycle or
 path; and one walk of the moved subtree down ``kids``, which sets its depths
 (no other depth changes) and splits it into the rows and columns to update.
-NumPy holds only ``reduced``: a moved subtree with few rows or columns
-updates each as a basic slice, a larger one by one fancy-indexed update.
+NumPy holds only ``reduced``. A moved subtree with few rows updates each as
+a basic slice, more by one fancy-indexed update. Its columns are basic
+slices while they are at most max(SLICE_LINES, m // 16); past that, one
+dense pass adds to every row a length-m vector that is zero off the moved
+columns. That gives the same values, as x + 0.0 == x (a -0.0 becomes 0.0,
+and a zero never enters the basis).
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
 more supply, every target epsilon less demand, and the root (n + m - 1)
@@ -87,16 +101,22 @@ import math
 
 import numpy as np
 
-from .errors import IterationLimitError
+from .errors import IterationLimitError, SolverError
 from .transport_lp import TransportPlan, TransportProblem, TransportSolution
 
 __all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 
 OPTIMALITY_TOL = 1e-9
-# A moved subtree with at most this many rows (or columns) updates ``reduced``
-# one basic slice per line, with no temporary; past it, by one fancy-indexed
-# update. On 128 x 128 and 160 x 120 matrices a slice costs ~1.6-2 us per line
-# and a fancy update ~7 us plus ~0.3-0.8 us per line: they cross at ~6 lines.
+# A moved subtree with at most this many rows updates ``reduced`` one basic
+# slice per row, with no temporary; past it, by one fancy-indexed update. On
+# 128 x 128 and 160 x 120 matrices a row slice costs ~1.6-2 us and a fancy
+# update ~7 us plus ~0.3-0.8 us per row: they cross at ~6 rows. Its columns
+# are slices up to max(SLICE_LINES, m // 16) of them, past that one dense
+# pass over the n x m matrix. A column slice reads n strided entries and the
+# dense pass n * m, so they cross at a share of m; timeit on one 2-vCPU VM:
+# ~8 columns at 128 x 128 (17.9 vs 17.8 us) and 160 x 120 (15.2 vs 15.9 us),
+# ~17 at 256 x 256 and ~40 at 512 x 512 (32 columns: 179 vs 216 us). A fancy
+# column update loses to slices at every width at 512 x 512.
 SLICE_LINES = 6
 
 
@@ -109,8 +129,7 @@ class SpanningTree:
     and ``depth`` from scratch, down from the root, and rebuilds ``reduced``
     from the potentials. ``pivot`` updates ``parent``, ``flow`` and
     ``kids``, and the depths and the rows and columns of ``reduced`` of the
-    moved subtree only: one slice at a time when it has at most
-    ``SLICE_LINES`` rows (or columns), else by fancy indexing. It writes no
+    moved subtree only, by the rules of ``SLICE_LINES``. It writes no
     potential. ``flows`` gives the basic cells as a dict ``(i, j) -> flow``
     in node order, degenerate zeros included.
     """
@@ -167,14 +186,18 @@ class SpanningTree:
         """
         parent, depth = self.parent, self.depth
         side_i, side_t = [], []
-        while i != t:
+        # a cycle has at most one node per tree node: more steps mean a wrong
+        # depth led a walk past the root (parent -1 indexes the last node)
+        for _ in range(len(parent)):
+            if i == t:
+                return side_i, side_t
             if depth[i] >= depth[t]:
                 side_i.append(i)
                 i = parent[i]
             else:
                 side_t.append(t)
                 t = parent[t]
-        return side_i, side_t
+        raise SolverError("the cycle walk passed the root: the tree's depths are wrong")
 
     def pivot(self, i: int, j: int, gain: float) -> float:
         """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta.
@@ -233,11 +256,15 @@ class SpanningTree:
                 reduced[x] -= shift
         else:
             reduced[sources] -= shift
-        if len(targets) <= SLICE_LINES:
+        m = reduced.shape[1]
+        if len(targets) <= max(SLICE_LINES, m // 16):
             for y in targets:
                 reduced[:, y] += shift
         else:
-            reduced[:, targets] += shift
+            # one pass over the whole matrix: x + 0.0 == x off the moved columns
+            delta = np.zeros(m)
+            delta[targets] = shift
+            reduced += delta
         return theta
 
 
@@ -266,14 +293,18 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     live = [True] * total
     rows_live, cols_live = n, m
     adjacent = [[] for _ in range(total)]
-    ranked = np.argsort(problem.cost, axis=None, kind="stable")
-    start, chunk = 0, total
+    rows, cols = np.arange(n), np.arange(n, total)
+    block = problem.cost.ravel()
     while rows_live and cols_live:
-        rows, cols = np.divmod(ranked[start:start + chunk], m)
-        cols += n
-        alive = np.array(live)
-        candidates = alive[rows] & alive[cols]
-        for i, t in zip(rows[candidates].tolist(), cols[candidates].tolist()):
+        # the n + m cheapest cells of the live block and every cell tied
+        # with the last of them, by ascending cost, ties in row-major order;
+        # a NaN there (NaN sorts last) takes the whole block
+        k = min(total, block.size) - 1
+        kth = np.partition(block, k)[k]
+        cells = np.flatnonzero(block <= kth) if kth == kth else np.arange(block.size)
+        cells = cells[np.argsort(block[cells], kind="stable")]
+        at_row, at_col = np.divmod(cells, cols.size)
+        for i, t in zip(rows[at_row].tolist(), cols[at_col].tolist()):
             if not (live[i] and live[t]):
                 continue
             # the masses may be out of balance by rounding, so the last live
@@ -293,8 +324,9 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
             adjacent[t].append((i, amount))
             if not (rows_live and cols_live):
                 break
-        start += chunk
-        chunk *= 2
+        alive = np.array(live)
+        rows, cols = rows[alive[rows]], cols[alive[cols]]
+        block = problem.cost[np.ix_(rows, cols - n)].ravel()
 
     # root the n + m - 1 cells at source 0, depth first
     parent = [-1] * total
@@ -358,13 +390,12 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
             entering = _select_entering(tree.reduced)
             if entering is None:
                 break
-        enter_i, enter_j = entering
+        enter_i, enter_j, gain = entering
 
         iterations += 1
         if iterations > pivot_limit:
             raise IterationLimitError(f"exceeded {pivot_limit} pivots on a {n}x{m} instance")
 
-        gain = float(tree.reduced[enter_i, enter_j])
         objective += tree.pivot(enter_i, enter_j, gain) * gain
         if callback is not None:
             callback(iterations, objective)
@@ -385,12 +416,13 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
 
 def _select_entering(reduced: np.ndarray):
-    """Cell of the most negative entry of ``reduced``, or None when none is below -OPTIMALITY_TOL.
+    """Most negative reduced cost as (i, j, value), or None when none is below -OPTIMALITY_TOL.
 
     ``reduced`` is the matrix a ``SpanningTree`` keeps in step with its
     pivots, so pricing every cell is this one argmin.
     """
-    cell = divmod(int(reduced.argmin()), reduced.shape[1])
-    if reduced[cell] >= -OPTIMALITY_TOL:
+    i, j = divmod(int(reduced.argmin()), reduced.shape[1])
+    gain = float(reduced[i, j])
+    if gain >= -OPTIMALITY_TOL:
         return None
-    return cell
+    return i, j, gain

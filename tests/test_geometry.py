@@ -70,3 +70,17 @@ def test_constant_coordinate_padding_invariance():
         plain = pairwise_costs(validate(pts_u), validate(pts_v))
         padded = pairwise_costs(validate(padded_u), validate(padded_v))
         np.testing.assert_allclose(padded, plain, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-160, 5e-324])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_first_axis_equals_hypot_from_zero(scale, d):
+    # the costs start from |diff| of the first axis, which is hypot(0, diff):
+    # accumulating every axis from a zero matrix must give the same bits
+    rng = np.random.default_rng(31)
+    u = validate(rng.normal(size=(9, d)) * scale)
+    v = validate(rng.normal(size=(7, d)) * scale)
+    from_zero = np.zeros((9, 7))
+    for k in range(d):
+        np.hypot(from_zero, u.points[:, k, None] - v.points[None, :, k], out=from_zero)
+    np.testing.assert_array_equal(pairwise_costs(u, v), from_zero)

@@ -10,7 +10,7 @@ from scipy.stats import wasserstein_distance_nd
 
 from earthmover import simplex
 from earthmover.distributions import normalize, validate
-from earthmover.errors import IterationLimitError
+from earthmover.errors import IterationLimitError, SolverError
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import SpanningTree, initial_basis, pivot_budget, solve
 from earthmover.transport_lp import build_problem, solution_distance
@@ -31,6 +31,50 @@ def assert_certified(problem, solution):
     np.testing.assert_allclose(solution.plan.source_marginals(), problem.supply, atol=1e-9)
     np.testing.assert_allclose(solution.plan.target_marginals(), problem.demand, atol=1e-9)
     assert solution.iterations <= pivot_budget(n, m)
+
+
+def full_ranking_start(problem):
+    """(parent, flow, kids) of the cheapest-cell start, walking a stable sort of every cell.
+
+    The reference for ``initial_basis``, which ranks only the cheapest cells
+    of the live block in rounds and must build the same tree.
+    """
+    n, m = problem.n_sources, problem.n_targets
+    total = n + m
+    left = problem.supply.tolist() + problem.demand.tolist()
+    eps = [1] * n + [-1] * m
+    eps[0] = 1 - total
+    live = [True] * total
+    rows_live, cols_live = n, m
+    adjacent = [[] for _ in range(total)]
+    rows, cols = np.divmod(np.argsort(problem.cost, axis=None, kind="stable"), m)
+    for i, t in zip(rows.tolist(), (cols + n).tolist()):
+        if not (live[i] and live[t]):
+            continue
+        if rows_live > 1 and (cols_live == 1 or (left[i], eps[i]) <= (left[t], eps[t])):
+            out, kept = i, t
+            rows_live -= 1
+        else:
+            out, kept = t, i
+            cols_live -= 1
+        amount = min(left[i], left[t])
+        live[out] = False
+        left[kept] -= amount
+        eps[kept] -= eps[out]
+        adjacent[i].append((t, amount))
+        adjacent[t].append((i, amount))
+        if not (rows_live and cols_live):
+            break
+    parent, flow, kids = [-1] * total, [0.0] * total, [[] for _ in range(total)]
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, f in adjacent[x]:
+            if y != parent[x]:
+                parent[y], flow[y] = x, f
+                kids[x].append(y)
+                stack.append(y)
+    return parent, flow, kids
 
 
 def brute_force_assignment(costs):
@@ -85,6 +129,37 @@ class TestInitialBasis:
         assert set(state.flows) == {(0, 0), (1, 0), (2, 0)}
         assert min(state.flows.values()) >= 0.0
         assert sum(state.flows.values()) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "family", ["equal", "grid", "uniform", "row", "column", "zero_mass", "nan"]
+    )
+    def test_matches_the_full_ranking_start(self, family):
+        # ties and duplicates decide the tie order; uniform points and wide
+        # blocks take several rounds; NaN costs rank last
+        rng = np.random.default_rng(96)
+        for _ in range(12):
+            n, m = int(rng.integers(2, 60)), int(rng.integers(2, 60))
+            if family == "row":
+                n = 1
+            elif family == "column":
+                m = 1
+            if family == "equal":
+                cost = np.full((n, m), 0.5)
+            elif family in ("grid", "zero_mass"):
+                gap = rng.integers(0, 4, (n, 1, 2)) - rng.integers(0, 4, (1, m, 2))
+                cost = np.hypot(gap[..., 0], gap[..., 1])
+            else:
+                cost = rng.random((n, m))
+            if family == "nan":
+                cost[rng.random((n, m)) < 0.9] = np.nan
+            supply, demand = rng.integers(1, 4, n).astype(float), rng.integers(1, 4, m).astype(float)
+            if family == "zero_mass":
+                supply[rng.random(n) < 0.2] = 0.0
+                demand[rng.random(m) < 0.2] = 0.0
+                supply[0] = demand[0] = 1.0
+            problem = build_problem(cost, supply / supply.sum(), demand / demand.sum())
+            tree = initial_basis(problem)
+            assert (tree.parent, tree.flow, tree.kids) == full_ranking_start(problem)
 
 
 class TestSolve:
@@ -212,6 +287,16 @@ class TestSolve:
         assert solution.iterations == iterations
         assert solution_distance(solution).hex() == distance
 
+    def test_cycle_walk_fails_fast_on_a_wrong_depth(self):
+        problem = build_problem(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.75, 0.25], [0.5, 0.5])
+        tree = initial_basis(problem)
+        assert tree.parent == [-1, 3, 0, 0]
+        # with equal depths every step goes up from source 1, past the root
+        # (parent -1 is the last node) and round 0 -> 3 -> 0, never meeting 2
+        tree.depth = [0] * 4
+        with pytest.raises(SolverError, match="E_SOLVER: the cycle walk passed the root"):
+            tree.pivot(1, 0, -1.0)
+
     def test_pivot_budget_is_enforced(self, monkeypatch):
         rng = np.random.default_rng(70)
         u = normalize(validate(rng.normal(size=(6, 2))))
@@ -301,16 +386,25 @@ class TestSolve:
         # to what potentials derived afresh from the tree give, and zero on
         # every basic cell
         pivot = SpanningTree.pivot
-        pivots = 0
+        pivots = wide = 0
 
         def checked_pivot(tree, i, j, gain):
-            nonlocal pivots
+            nonlocal pivots, wide
             theta = pivot(tree, i, j, gain)
             fresh = copy.copy(tree)
             fresh.reduced = np.empty_like(tree.reduced)
             fresh.derive_potentials()
             np.testing.assert_allclose(tree.reduced, fresh.reduced, rtol=0, atol=1e-12)
             np.testing.assert_allclose(tree.reduced[tree._cells()], 0.0, rtol=0, atol=1e-12)
+            # the moved subtree hangs from the entering cell; count the pivots
+            # whose columns are too many to update one slice at a time
+            n, m = tree.reduced.shape
+            stack, targets = [i if tree.parent[i] == n + j else n + j], 0
+            while stack:
+                x = stack.pop()
+                targets += x >= n
+                stack += tree.kids[x]
+            wide += targets > max(simplex.SLICE_LINES, m // 16)
             pivots += 1
             return theta
 
@@ -330,6 +424,7 @@ class TestSolve:
             problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
             assert_certified(problem, solve(problem))
         assert pivots >= 200
+        assert 20 <= wide <= pivots - 20  # both column-update paths ran
 
     def test_pivots_keep_the_tree_structure(self, monkeypatch):
         # the cycle walk reads depth and the subtree walk reads kids; check
