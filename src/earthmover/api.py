@@ -125,7 +125,8 @@ def wasserstein_distance(
         # the solver's tolerances are absolute: solve on costs in [0.5, 1),
         # scaled by a power of two so that no cost is rounded
         _, exponent = math.frexp(float(costs.max()))
-        problem = build_problem(np.ldexp(costs, -exponent), u_dist.weights, v_dist.weights)
+        np.ldexp(costs, -exponent, out=costs)
+        problem = build_problem(costs, u_dist.weights, v_dist.weights)
         solution = solve(problem)
         # the product by 2.0**shift overflows to inf; math.ldexp would raise
         distance = math.ldexp(max(0.0, solution_distance(solution)), exponent) * 2.0**shift

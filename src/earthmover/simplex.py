@@ -11,9 +11,10 @@ over the nodes (the tree indices of Ahuja, Magnanti & Orlin, *Network Flows*,
 - ``kids[x]``: the nodes whose parent is x, in no particular order;
 - ``depth[x]``: the number of cells between x and the root.
 
-The dual values, ``potential[x]`` with potential[0] = 0, are not kept in
-step with the pivots: ``derive_potentials`` is their one writer, and computes
-them afresh from the tree.
+The dual values, ``potential[x]`` with potential[0] = 0, are one NumPy
+vector over the nodes. Each pivot shifts the entries it changes;
+``derive_potentials`` is the one place the whole vector is written, afresh
+from the tree.
 
 Start. Cells are visited by ascending cost, ties in row-major order. A cell
 whose row and column are both live receives the smaller remaining mass of
@@ -32,11 +33,14 @@ so it would be skipped; and every cell of the block up to the round's last
 cost is visited and either crosses out a line or meets one already crossed
 out, so the next round's block holds only costlier cells.
 
-Pivot. The tree keeps the reduced cost cost[i, j] - potential[i] -
-potential[n + j] of every cell in an n x m matrix, ``reduced``, for the
-potentials that ``derive_potentials`` would compute from the current tree.
-The most negative entry enters if it is below -OPTIMALITY_TOL
-(Dantzig), so pricing is one argmin. The entering cell (i, j) closes a cycle
+Pivot. Pricing reads the reduced cost cost[i, j] - potential[i] -
+potential[n + j] of a block of rows at a time, computed from the potentials
+the tree keeps in step with its pivots. Each block is BLOCK_CELLS / m rows,
+rounded up, and the last one is cut at row n. The scan starts at the block
+after the one that gave the last entering cell and goes round the blocks in
+order; the first block holding a reduced cost below -OPTIMALITY_TOL gives its
+most negative cell, which enters (block search, as in LEMON's network
+simplex; Kovacs 2015). The entering cell (i, j) closes a cycle
 through the tree paths from i and from j up to their apex, found by stepping
 up from whichever of the two is deeper. Flow theta moves round it: the cells
 above the sources on i's path and above the targets on j's path lose theta,
@@ -47,25 +51,18 @@ or if there is none, the blocking cell on i's path nearest i. The subtree
 cut off below the leaving cell is re-rooted at the entering endpoint:
 parents and flows shift one step along the path between them, each path
 node moves from its old parent's ``kids`` to the ``kids`` of the node below
-it, and the entering endpoint hangs from the other one. The duals of the
-moved subtree shift by the entering reduced cost, up on its sources and down
-on its targets, and nothing else changes. So only the rows of those sources
-and the columns of those targets change in ``reduced``: a pivot updates them
-and leaves the rest, and the entering cell's reduced cost becomes zero as it
-joins the tree.
+it, and the entering endpoint hangs from the other one. The potentials of
+the moved subtree shift by the entering reduced cost, up on its sources and
+down on its targets, so the entering cell's reduced cost becomes zero as it
+joins the tree, and nothing else changes.
 
 A pivot touches only the cycle (a median of ~31 nodes below the apex on
 128 x 128 assignments) and the moved subtree (a median of 2), so the tree
 update is scalar walks over the lists, as in LEMON's network simplex: up the
 cycle by depth; the ratio test, flow shifts and re-rooting over the cycle or
 path; and one walk of the moved subtree down ``kids``, which sets its depths
-(no other depth changes) and splits it into the rows and columns to update.
-NumPy holds only ``reduced``. A moved subtree with few rows updates each as
-a basic slice, more by one fancy-indexed update. Its columns are basic
-slices while they are at most max(SLICE_LINES, m // 16); past that, one
-dense pass adds to every row a length-m vector that is zero off the moved
-columns. That gives the same values, as x + 0.0 == x (a -0.0 becomes 0.0,
-and a zero never enters the basis).
+and shifts its potentials (no other depth or potential changes). NumPy does
+only the pricing, one block of at most about BLOCK_CELLS cells at a time.
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
 more supply, every target epsilon less demand, and the root (n + m - 1)
@@ -84,17 +81,19 @@ nearest the apex, whose subtree is the largest, else the cell above a source
 (part +s) nearest i, whose subtree is the smallest, which is the rule above.
 Each pivot therefore moves a positive perturbed amount round a cycle of
 negative reduced cost, the perturbed objective falls strictly, no basis
-repeats, and no fallback rule such as Bland's is needed. The argument needs
-every supply and demand positive; ``solve`` sets zero-mass points aside
-before pivoting and gives them dual values afterwards.
+repeats, and no fallback rule such as Bland's is needed. Any negative
+entering cost will do, not only the most negative, so block search keeps
+the argument. It needs every supply and demand positive; ``solve`` sets
+zero-mass points aside before pivoting and gives them dual values
+afterwards.
 
 The objective is kept up to date as theta times the entering reduced cost,
-so the per-pivot callback costs nothing extra. The per-pivot updates of
-``reduced`` round, so it may drift from the values the tree defines. Before
-stopping, ``derive_potentials`` therefore computes the potentials afresh from
-the tree and rebuilds every reduced cost from them, the only place the whole
-matrix is rebuilt, and every cell is priced again: drift can never mask a
-profitable cell.
+so the per-pivot callback costs nothing extra. The per-pivot shifts of the
+potentials round, so they may drift from the values the tree defines. When a
+scan of every block finds no entering cell, ``derive_potentials`` therefore
+computes the potentials afresh from the tree, the same scan prices every
+cell once more, and the solve stops only if that finds none either: drift
+can never mask a profitable cell.
 """
 
 import math
@@ -107,31 +106,24 @@ from .transport_lp import TransportPlan, TransportProblem, TransportSolution
 __all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 
 OPTIMALITY_TOL = 1e-9
-# A moved subtree with at most this many rows updates ``reduced`` one basic
-# slice per row, with no temporary; past it, by one fancy-indexed update. On
-# 128 x 128 and 160 x 120 matrices a row slice costs ~1.6-2 us and a fancy
-# update ~7 us plus ~0.3-0.8 us per row: they cross at ~6 rows. Its columns
-# are slices up to max(SLICE_LINES, m // 16) of them, past that one dense
-# pass over the n x m matrix. A column slice reads n strided entries and the
-# dense pass n * m, so they cross at a share of m; timeit on one 2-vCPU VM:
-# ~8 columns at 128 x 128 (17.9 vs 17.8 us) and 160 x 120 (15.2 vs 15.9 us),
-# ~17 at 256 x 256 and ~40 at 512 x 512 (32 columns: 179 vs 216 us). A fancy
-# column update loses to slices at every width at 512 x 512.
-SLICE_LINES = 6
+# Cells priced per block, as whole rows: ceil(BLOCK_CELLS / m) of them. A
+# small block pays NumPy's fixed cost per call more often and takes more
+# pivots; one as large as the matrix recomputes every reduced cost on every
+# pivot. Of 1024, 2048, 3072 and 4096 cells, 2048 gave the fastest 128 x 128
+# solves on a 2-vCPU VM, and 2048 x 2048 solves there in ~2 s.
+BLOCK_CELLS = 2048
 
 
 class SpanningTree:
     """A basis of the transportation simplex in the layout of the module docstring.
 
     ``parent``, ``flow``, ``kids`` and ``depth`` are Python lists, walked one
-    node at a time by ``pivot``. ``reduced`` is the one NumPy array: the
-    reduced cost of every cell. ``derive_potentials`` computes ``potential``
-    and ``depth`` from scratch, down from the root, and rebuilds ``reduced``
-    from the potentials. ``pivot`` updates ``parent``, ``flow`` and
-    ``kids``, and the depths and the rows and columns of ``reduced`` of the
-    moved subtree only, by the rules of ``SLICE_LINES``. It writes no
-    potential. ``flows`` gives the basic cells as a dict ``(i, j) -> flow``
-    in node order, degenerate zeros included.
+    node at a time by ``pivot``. ``potential`` is the one NumPy array: the
+    dual value of every node. ``derive_potentials`` computes ``potential``
+    and ``depth`` from scratch, down from the root. ``pivot`` updates
+    ``parent``, ``flow`` and ``kids``, and the depths and potentials of the
+    moved subtree only. ``flows`` gives the basic cells as a dict
+    ``(i, j) -> flow`` in node order, degenerate zeros included.
     """
 
     def __init__(self, cost: np.ndarray, parent: list, flow: list, kids: list):
@@ -140,7 +132,6 @@ class SpanningTree:
         self.parent = parent
         self.flow = flow
         self.kids = kids
-        self.reduced = np.empty_like(cost)
         self.derive_potentials()
 
     @property
@@ -157,10 +148,10 @@ class SpanningTree:
         return np.where(source, nodes, up), np.where(source, up, nodes) - n
 
     def derive_potentials(self):
-        """Depths and potentials from scratch, down from the root (potential 0), and reduced costs.
+        """Depths and potentials from scratch, down from the root (potential 0).
 
-        This is the one place the potentials are written and the whole
-        ``reduced`` matrix is rebuilt.
+        This is the one place the whole ``potential`` vector is written: every
+        basic cell's cost is the sum of the potentials of its two ends.
         """
         edge = [0.0] + self.cost[self._cells()].tolist()
         parent, kids = self.parent, self.kids
@@ -172,11 +163,7 @@ class SpanningTree:
             potential[x] = edge[x] - potential[parent[x]]
             depth[x] = depth[parent[x]] + 1
             stack += kids[x]
-        self.potential, self.depth = potential, depth
-        n = self.n_sources
-        at = np.array(potential)
-        np.subtract(self.cost, at[:n, None], out=self.reduced)
-        self.reduced -= at[None, n:]
+        self.potential, self.depth = np.array(potential), depth
 
     def _cycle(self, i: int, t: int):
         """Nodes from i and from t up to, not including, their apex; each starts at its endpoint.
@@ -202,7 +189,8 @@ class SpanningTree:
     def pivot(self, i: int, j: int, gain: float) -> float:
         """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta.
 
-        The reduced costs of the moved subtree's rows and columns shift with it.
+        The potentials of the moved subtree shift with it, so that the
+        reduced cost of (i, j) becomes zero.
         """
         n = self.n_sources
         parent, flow, kids, depth = self.parent, self.flow, self.kids, self.depth
@@ -240,31 +228,15 @@ class SpanningTree:
         flow[path[0]] = theta
         kids[new_parent].append(path[0])
 
-        sources, targets = [], []
+        potential = self.potential
         stack = [path[0]]
         while stack:
             x = stack.pop()
             depth[x] = depth[parent[x]] + 1
-            if x < n:
-                sources.append(x)
-            else:
-                targets.append(x - n)
+            # scalar writes: a fancy-indexed add costs more than the few
+            # nodes a subtree usually has
+            potential[x] += shift if x < n else -shift
             stack += kids[x]
-        reduced = self.reduced
-        if len(sources) <= SLICE_LINES:
-            for x in sources:
-                reduced[x] -= shift
-        else:
-            reduced[sources] -= shift
-        m = reduced.shape[1]
-        if len(targets) <= max(SLICE_LINES, m // 16):
-            for y in targets:
-                reduced[:, y] += shift
-        else:
-            # one pass over the whole matrix: x + 0.0 == x off the moved columns
-            delta = np.zeros(m)
-            delta[targets] = shift
-            reduced += delta
         return theta
 
 
@@ -358,10 +330,11 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     dual value that keeps every reduced cost non-negative, which adds nothing
     to the dual objective.
 
-    Each pivot is priced from the reduced costs the tree keeps in step with
-    its pivots. When none is below -OPTIMALITY_TOL, the potentials and
-    every reduced cost are derived afresh and priced once more, and the solve
-    stops only if that pass finds none either.
+    Each pivot is priced by ``_price`` from the potentials the tree keeps in
+    step with its pivots, resuming at the block after the last one priced.
+    When no block holds a reduced cost below -OPTIMALITY_TOL, the potentials
+    are derived afresh and the same scan runs once more, and the solve stops
+    only if that finds none either.
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError past
@@ -375,19 +348,22 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     live_rows, live_cols = problem.supply > 0.0, problem.demand > 0.0
     rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
     n, m = rows.size, cols.size
-    cost = problem.cost[np.ix_(rows, cols)]
+    if n == problem.n_sources and m == problem.n_targets:
+        cost = problem.cost
+    else:
+        cost = problem.cost[np.ix_(rows, cols)]
     tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
     pivot_limit = pivot_budget(n, m)
-    objective = float(sum(f * cost[cell] for cell, f in tree.flows.items()))
+    objective = float(np.dot(tree.flow[1:], cost[tree._cells()]))
 
-    iterations = 0
+    iterations = block = 0
     while True:
-        entering = _select_entering(tree.reduced)
+        entering, block = _price(cost, tree.potential, block)
         if entering is None:
-            # re-certify against freshly derived potentials and reduced costs
-            # before stopping, so incremental drift can never mask a profitable cell
+            # re-certify against freshly derived potentials before stopping,
+            # so incremental drift can never mask a profitable cell
             tree.derive_potentials()
-            entering = _select_entering(tree.reduced)
+            entering, block = _price(cost, tree.potential, block)
             if entering is None:
                 break
         enter_i, enter_j, gain = entering
@@ -415,14 +391,29 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
 
 
-def _select_entering(reduced: np.ndarray):
-    """Most negative reduced cost as (i, j, value), or None when none is below -OPTIMALITY_TOL.
+def _price(cost: np.ndarray, potential: np.ndarray, block: int):
+    """Entering cell by block search from ``block`` on; returns ((i, j, gain) or None, next block).
 
-    ``reduced`` is the matrix a ``SpanningTree`` keeps in step with its
-    pivots, so pricing every cell is this one argmin.
+    Blocks are ceil(BLOCK_CELLS / m) rows of ``cost``, the last one cut at
+    row n. Each block, from ``block`` round to the one before it, computes
+    its reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the
+    potentials ``u`` of the sources and ``v`` of the targets. The first whose
+    most negative cell is below -OPTIMALITY_TOL gives that cell and its
+    reduced cost, and the block after it is where the next scan starts. When
+    none is, every cell was priced, and the scan ends where it started.
     """
-    i, j = divmod(int(reduced.argmin()), reduced.shape[1])
-    gain = float(reduced[i, j])
-    if gain >= -OPTIMALITY_TOL:
-        return None
-    return i, j, gain
+    n, m = cost.shape
+    rows = -(-BLOCK_CELLS // m)
+    blocks = -(-n // rows)
+    u, v = potential[:n], potential[n:]
+    for _ in range(blocks):
+        r0, r1 = block * rows, min(block * rows + rows, n)
+        block = (block + 1) % blocks
+        reduced = cost[r0:r1] - u[r0:r1, None]
+        reduced -= v
+        k = int(reduced.argmin())
+        gain = reduced.item(k)
+        if gain < -OPTIMALITY_TOL:
+            i, j = divmod(k, m)
+            return (r0 + i, j, gain), block
+    return None, block

@@ -265,8 +265,9 @@ class TestSolve:
         [
             ("uniform", 3, 45, "0x1.f4f67faed5164p-4"),
             ("uniform", 4, 58, "0x1.2701b6eb73971p-3"),
-            ("grid", 5, 45, "0x1.8773b8b6b33f2p-1"),
+            ("grid", 5, 40, "0x1.8773b8b6b33f2p-1"),
             ("grid", 6, 47, "0x1.22d7359cfcd99p+0"),
+            ("blocks", 7, 241, "0x1.7aae0f534c8f8p-4"),
         ],
     )
     def test_pivot_sequence_is_pinned(self, family, seed, iterations, distance):
@@ -276,6 +277,13 @@ class TestSolve:
         if family == "uniform":
             # equal weights and n == m: mostly degenerate pivots
             pts_u, pts_v = rng.random((40, 2)), rng.random((40, 2))
+            u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
+        elif family == "blocks":
+            # more rows than one pricing block, and not a multiple of its
+            # rows, so the scan wraps round a partial last block
+            rows = -(-simplex.BLOCK_CELLS // 90)
+            assert 100 > rows and 100 % rows
+            pts_u, pts_v = rng.random((100, 2)), rng.random((90, 2))
             u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
         else:
             pts_u = rng.integers(0, 6, (48, 2)).astype(float)
@@ -381,30 +389,23 @@ class TestSolve:
             solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
         assert checked.count(0.0) >= 50  # degenerate pivots were exercised
 
-    def test_pivots_keep_reduced_costs_in_step_with_the_potentials(self, monkeypatch):
-        # pricing reads tree.reduced alone, so each pivot must leave it equal
-        # to what potentials derived afresh from the tree give, and zero on
-        # every basic cell
+    def test_pivots_keep_the_potentials_in_step_with_the_tree(self, monkeypatch):
+        # pricing reads tree.potential alone, so each pivot must leave it
+        # equal to what is derived afresh from the tree, and every basic cell
+        # at reduced cost zero
         pivot = SpanningTree.pivot
-        pivots = wide = 0
+        pivots = 0
 
         def checked_pivot(tree, i, j, gain):
-            nonlocal pivots, wide
+            nonlocal pivots
             theta = pivot(tree, i, j, gain)
             fresh = copy.copy(tree)
-            fresh.reduced = np.empty_like(tree.reduced)
             fresh.derive_potentials()
-            np.testing.assert_allclose(tree.reduced, fresh.reduced, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(tree.reduced[tree._cells()], 0.0, rtol=0, atol=1e-12)
-            # the moved subtree hangs from the entering cell; count the pivots
-            # whose columns are too many to update one slice at a time
-            n, m = tree.reduced.shape
-            stack, targets = [i if tree.parent[i] == n + j else n + j], 0
-            while stack:
-                x = stack.pop()
-                targets += x >= n
-                stack += tree.kids[x]
-            wide += targets > max(simplex.SLICE_LINES, m // 16)
+            np.testing.assert_allclose(tree.potential, fresh.potential, rtol=0, atol=1e-12)
+            n = tree.n_sources
+            rows, cols = tree._cells()
+            basic = tree.cost[rows, cols] - tree.potential[rows] - tree.potential[n + cols]
+            np.testing.assert_allclose(basic, 0.0, rtol=0, atol=1e-12)
             pivots += 1
             return theta
 
@@ -424,7 +425,26 @@ class TestSolve:
             problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
             assert_certified(problem, solve(problem))
         assert pivots >= 200
-        assert 20 <= wide <= pivots - 20  # both column-update paths ran
+
+    def test_pricing_reaches_every_cell_from_every_block(self, monkeypatch):
+        # solve prices with _price in both passes, before and after the
+        # potentials are derived afresh. 37 rows in blocks of ceil(300 / 29)
+        # = 11 make 4 blocks, the last one of 4 rows.
+        monkeypatch.setattr(simplex, "BLOCK_CELLS", 300)
+        n, m, rows, blocks = 37, 29, 11, 4
+        rng = np.random.default_rng(90)
+        potential = rng.random(n + m)
+        cost = potential[:n, None] + potential[None, n:] + 0.5 + rng.random((n, m))
+        for start in range(blocks):
+            assert simplex._price(cost, potential, start) == (None, start)
+        for i, j in itertools.product(range(n), range(m)):
+            planted = cost.copy()
+            planted[i, j] = potential[i] + potential[n + j] - 0.25
+            for start in range(blocks):
+                (at_i, at_j, gain), after = simplex._price(planted, potential, start)
+                assert (at_i, at_j) == (i, j)
+                assert gain == pytest.approx(-0.25, abs=1e-12)
+                assert after == (i // rows + 1) % blocks
 
     def test_pivots_keep_the_tree_structure(self, monkeypatch):
         # the cycle walk reads depth and the subtree walk reads kids; check
