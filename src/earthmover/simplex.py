@@ -9,12 +9,15 @@ over the nodes (the tree indices of Ahuja, Magnanti & Orlin, *Network Flows*,
 - ``flow[x]``: the flow on the basic cell joining x to its parent, so each
   basic cell is stored once, at its lower end;
 - ``kids[x]``: the nodes whose parent is x, in no particular order;
-- ``depth[x]``: the number of cells between x and the root.
+- ``depth[x]``: the number of cells between x and the root;
+- ``edge[x]``: the cost of the cell above x, 0.0 at the root.
 
-The dual values, ``potential[x]`` with potential[0] = 0, are one NumPy
-vector over the nodes. Each pivot shifts the entries it changes;
-``derive_potentials`` is the one place the whole vector is written, afresh
-from the tree.
+The dual values, ``potential[x]``, are one NumPy vector over the nodes:
+potential[0] = 0 and potential[x] = edge[x] - potential[parent[x]], so the
+cost of every basic cell is the sum of the potentials of its two ends. Each
+potential is only ever set by that expression, from the parent down, and
+never shifted: ``derive_potentials`` sets all of them from the root, and a
+pivot sets those of the subtree it moved.
 
 Start. Cells are visited by ascending cost, ties in row-major order. A cell
 whose row and column are both live receives the smaller remaining mass of
@@ -49,20 +52,22 @@ last one met when the cycle is walked from the apex down to i, across (i, j)
 and up from j to the apex: the blocking cell on j's path nearest the apex,
 or if there is none, the blocking cell on i's path nearest i. The subtree
 cut off below the leaving cell is re-rooted at the entering endpoint:
-parents and flows shift one step along the path between them, each path
-node moves from its old parent's ``kids`` to the ``kids`` of the node below
-it, and the entering endpoint hangs from the other one. The potentials of
-the moved subtree shift by the entering reduced cost, up on its sources and
-down on its targets, so the entering cell's reduced cost becomes zero as it
-joins the tree, and nothing else changes.
+parents, flows and edge costs shift one step along the path between them,
+each path node moves from its old parent's ``kids`` to the ``kids`` of the
+node below it, and the entering endpoint hangs from the other one by the
+entering cell. The potentials of the moved subtree are then set from their
+new parents, down from the entering endpoint, so the entering cell's reduced
+cost becomes zero as it joins the tree. No other node's path to the root
+changes, so neither does its potential, and every potential stays equal,
+bit for bit, to the one ``derive_potentials`` would compute from the tree.
 
 A pivot touches only the cycle (a median of ~31 nodes below the apex on
 128 x 128 assignments) and the moved subtree (a median of 2), so the tree
 update is scalar walks over the lists, as in LEMON's network simplex: up the
 cycle by depth; the ratio test, flow shifts and re-rooting over the cycle or
 path; and one walk of the moved subtree down ``kids``, which sets its depths
-and shifts its potentials (no other depth or potential changes). NumPy does
-only the pricing, one block of at most about BLOCK_CELLS cells at a time.
+and potentials (no other depth or potential changes). NumPy does only the
+pricing, one block of at most about BLOCK_CELLS cells at a time.
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
 more supply, every target epsilon less demand, and the root (n + m - 1)
@@ -88,12 +93,7 @@ zero-mass points aside before pivoting and gives them dual values
 afterwards.
 
 The objective is kept up to date as theta times the entering reduced cost,
-so the per-pivot callback costs nothing extra. The per-pivot shifts of the
-potentials round, so they may drift from the values the tree defines. When a
-scan of every block finds no entering cell, ``derive_potentials`` therefore
-computes the potentials afresh from the tree, the same scan prices every
-cell once more, and the solve stops only if that finds none either: drift
-can never mask a profitable cell.
+so the per-pivot callback costs nothing extra.
 """
 
 import math
@@ -117,12 +117,13 @@ BLOCK_CELLS = 2048
 class SpanningTree:
     """A basis of the transportation simplex in the layout of the module docstring.
 
-    ``parent``, ``flow``, ``kids`` and ``depth`` are Python lists, walked one
-    node at a time by ``pivot``. ``potential`` is the one NumPy array: the
-    dual value of every node. ``derive_potentials`` computes ``potential``
-    and ``depth`` from scratch, down from the root. ``pivot`` updates
-    ``parent``, ``flow`` and ``kids``, and the depths and potentials of the
-    moved subtree only. ``flows`` gives the basic cells as a dict
+    ``parent``, ``flow``, ``kids``, ``depth`` and ``edge`` are Python lists,
+    walked one node at a time by ``pivot``. ``potential`` is the one NumPy
+    array: the dual value of every node. ``derive_potentials`` computes
+    ``edge``, ``depth`` and ``potential`` from scratch, down from the root.
+    ``pivot`` updates ``parent``, ``flow``, ``edge`` and ``kids``, and sets the
+    depths and potentials of the moved subtree only, by the same walk from
+    the parent down. ``flows`` gives the basic cells as a dict
     ``(i, j) -> flow`` in node order, degenerate zeros included.
     """
 
@@ -148,22 +149,29 @@ class SpanningTree:
         return np.where(source, nodes, up), np.where(source, up, nodes) - n
 
     def derive_potentials(self):
-        """Depths and potentials from scratch, down from the root (potential 0).
+        """Edge costs, depths and potentials from scratch, down from the root (potential 0)."""
+        total = len(self.parent)
+        self.edge = [0.0] + self.cost[self._cells()].tolist()
+        self.depth = [0] * total
+        self.potential = np.zeros(total)
+        self._hang(list(self.kids[0]))
 
-        This is the one place the whole ``potential`` vector is written: every
-        basic cell's cost is the sum of the potentials of its two ends.
+    def _hang(self, stack: list):
+        """Set depth and potential from the parent, down the subtrees of the nodes on ``stack``.
+
+        The start and every pivot set potential[x] = edge[x] -
+        potential[parent[x]] here, so a pivot leaves the same floats as
+        ``derive_potentials`` would.
         """
-        edge = [0.0] + self.cost[self._cells()].tolist()
-        parent, kids = self.parent, self.kids
-        potential = [0.0] * len(parent)
-        depth = [0] * len(parent)
-        stack = list(kids[0])
+        parent, kids, edge = self.parent, self.kids, self.edge
+        depth, potential = self.depth, self.potential
         while stack:
             x = stack.pop()
-            potential[x] = edge[x] - potential[parent[x]]
             depth[x] = depth[parent[x]] + 1
+            # scalar writes: a fancy-indexed write costs more than the few
+            # nodes a moved subtree usually has
+            potential[x] = edge[x] - potential.item(parent[x])
             stack += kids[x]
-        self.potential, self.depth = np.array(potential), depth
 
     def _cycle(self, i: int, t: int):
         """Nodes from i and from t up to, not including, their apex; each starts at its endpoint.
@@ -186,14 +194,14 @@ class SpanningTree:
                 t = parent[t]
         raise SolverError("the cycle walk passed the root: the tree's depths are wrong")
 
-    def pivot(self, i: int, j: int, gain: float) -> float:
-        """Bring cell (i, j), of reduced cost ``gain`` < 0, into the basis; returns theta.
+    def pivot(self, i: int, j: int) -> float:
+        """Bring cell (i, j), of negative reduced cost, into the basis; returns theta.
 
-        The potentials of the moved subtree shift with it, so that the
-        reduced cost of (i, j) becomes zero.
+        The moved subtree's potentials are set from their new parents, so
+        the reduced cost of (i, j) becomes zero.
         """
         n = self.n_sources
-        parent, flow, kids, depth = self.parent, self.flow, self.kids, self.depth
+        parent, flow, kids, edge = self.parent, self.flow, self.kids, self.edge
         side_i, side_t = self._cycle(i, n + j)
         minus_t = [flow[x] for x in side_t[0::2]]
         minus_i = [flow[x] for x in side_i[0::2]]
@@ -204,10 +212,10 @@ class SpanningTree:
             # leaving cell on j's path, the blocking one nearest the apex:
             # the subtree holding j hangs from i
             cut = 2 * (len(minus_t) - minus_t[::-1].index(theta)) - 1
-            path, new_parent, shift = side_t[:cut], i, -gain
+            path, new_parent = side_t[:cut], i
         else:
             cut = 2 * minus_i.index(theta) + 1
-            path, new_parent, shift = side_i[:cut], n + j, gain
+            path, new_parent = side_i[:cut], n + j
         if theta > 0.0:
             for side in (side_i, side_t):
                 for x in side[0::2]:
@@ -218,25 +226,18 @@ class SpanningTree:
         # cut the cell above path[-1]; going up the path, each node hangs
         # from the one below it by that node's old cell
         kids[parent[path[-1]]].remove(path[-1])
-        carried = flow[path[0]]
+        carried, carried_cost = flow[path[0]], edge[path[0]]
         for below, x in zip(path, path[1:]):
             kids[x].remove(below)
             kids[below].append(x)
             parent[x] = below
             flow[x], carried = carried, flow[x]
+            edge[x], carried_cost = carried_cost, edge[x]
         parent[path[0]] = new_parent
         flow[path[0]] = theta
+        edge[path[0]] = self.cost.item(i, j)
         kids[new_parent].append(path[0])
-
-        potential = self.potential
-        stack = [path[0]]
-        while stack:
-            x = stack.pop()
-            depth[x] = depth[parent[x]] + 1
-            # scalar writes: a fancy-indexed add costs more than the few
-            # nodes a subtree usually has
-            potential[x] += shift if x < n else -shift
-            stack += kids[x]
+        self._hang([path[0]])
         return theta
 
 
@@ -330,11 +331,10 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     dual value that keeps every reduced cost non-negative, which adds nothing
     to the dual objective.
 
-    Each pivot is priced by ``_price`` from the potentials the tree keeps in
-    step with its pivots, resuming at the block after the last one priced.
-    When no block holds a reduced cost below -OPTIMALITY_TOL, the potentials
-    are derived afresh and the same scan runs once more, and the solve stops
-    only if that finds none either.
+    Each pivot is priced by ``_price`` from the tree's potentials, resuming
+    at the block after the last one priced. A pivot sets the potentials it
+    changes exactly as ``derive_potentials`` would, so the solve stops as
+    soon as no block holds a reduced cost below -OPTIMALITY_TOL.
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError past
@@ -354,25 +354,20 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
         cost = problem.cost[np.ix_(rows, cols)]
     tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
     pivot_limit = pivot_budget(n, m)
-    objective = float(np.dot(tree.flow[1:], cost[tree._cells()]))
+    objective = float(np.dot(tree.flow[1:], tree.edge[1:]))
 
     iterations = block = 0
     while True:
         entering, block = _price(cost, tree.potential, block)
         if entering is None:
-            # re-certify against freshly derived potentials before stopping,
-            # so incremental drift can never mask a profitable cell
-            tree.derive_potentials()
-            entering, block = _price(cost, tree.potential, block)
-            if entering is None:
-                break
+            break
         enter_i, enter_j, gain = entering
 
         iterations += 1
         if iterations > pivot_limit:
             raise IterationLimitError(f"exceeded {pivot_limit} pivots on a {n}x{m} instance")
 
-        objective += tree.pivot(enter_i, enter_j, gain) * gain
+        objective += tree.pivot(enter_i, enter_j) * gain
         if callback is not None:
             callback(iterations, objective)
 
