@@ -2,12 +2,12 @@
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cdf1d import cdf_distance_1d, greedy_plan_1d
-from .distributions import Finiteness, classify_finiteness, normalize, validate
+from .distributions import Finiteness, as_float_array, classify_finiteness, normalize, validate
 from .errors import DimensionMismatchError, ShapeError
 from .geometry import pairwise_costs
 from .simplex import solve
@@ -25,16 +25,24 @@ class DistanceResult:
 
     ``distance`` is a non-negative float, ``inf``, or ``nan``; ``finiteness``
     states which of those cases holds explicitly, so undefined results never
-    hide behind a quiet NaN. ``plan`` is attached only when requested and the
-    distance is finite.
+    hide behind a quiet NaN. It is not an argument: it is read off
+    ``distance``, so ``FINITE`` is never paired with ``inf`` or ``nan``.
+    ``plan`` is attached only when requested and the distance is finite.
     """
 
     distance: float
-    finiteness: Finiteness
+    finiteness: Finiteness = field(init=False)
     path: str  # "cdf1d" or "lp"
     iterations: int
     wall_time_ns: int
     plan: TransportPlan = None
+
+    def __post_init__(self):
+        if math.isfinite(self.distance):
+            finiteness = Finiteness.FINITE
+        else:
+            finiteness = Finiteness.INFINITE if math.isinf(self.distance) else Finiteness.UNDEFINED
+        object.__setattr__(self, "finiteness", finiteness)
 
     def __float__(self):
         return self.distance
@@ -87,8 +95,8 @@ def wasserstein_distance(
     """
     started = time.perf_counter_ns()
 
-    u_points = _as_points(u_values, "u_values")
-    v_points = _as_points(v_values, "v_values")
+    u_points = as_float_array(u_values, ShapeError, "u_values")
+    v_points = as_float_array(v_values, ShapeError, "v_values")
     flat_inputs = u_points.ndim == 1 and v_points.ndim == 1
     u_dist = validate(u_points, u_weights)
     v_dist = validate(v_points, v_weights)
@@ -98,20 +106,17 @@ def wasserstein_distance(
         )
 
     path = PATH_CDF1D if flat_inputs else PATH_LP
-    finiteness = classify_finiteness(u_dist, v_dist)
-    if finiteness is not Finiteness.FINITE:
-        value = float("inf") if finiteness is Finiteness.INFINITE else float("nan")
-        return DistanceResult(
-            value, finiteness, path, 0, time.perf_counter_ns() - started
-        )
-
+    plan, iterations = None, 0
+    special = classify_finiteness(u_dist, v_dist)
+    # one at a time: u's unnormalized weights are freed before v's new ones
+    # are made, which keeps the peak memory of large 1D calls down
     u_dist = normalize(u_dist)
     v_dist = normalize(v_dist)
-
-    if path == PATH_CDF1D:
+    if special is not Finiteness.FINITE:
+        distance = math.inf if special is Finiteness.INFINITE else math.nan
+    elif path == PATH_CDF1D:
         distance = cdf_distance_1d(u_dist, v_dist)
         plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
-        iterations = 0
     else:
         # a cost is at most 2 sqrt(d) <= 2^shift times the largest |coordinate|;
         # where that could overflow, costs come from points scaled by 2^-shift
@@ -130,25 +135,11 @@ def wasserstein_distance(
         solution = solve(problem)
         # the product by 2.0**shift overflows to inf; math.ldexp would raise
         distance = math.ldexp(max(0.0, solution_distance(solution)), exponent) * 2.0**shift
-        plan = solution.plan if want_plan else None
+        plan = solution.plan
         iterations = solution.iterations
 
-    # finite coordinates can still overflow, e.g. [-1e308] against [1e308]
-    if not math.isfinite(distance):
-        finiteness = Finiteness.INFINITE if math.isinf(distance) else Finiteness.UNDEFINED
+    # finite coordinates can still overflow, e.g. [-1e308] against [1e308]:
+    # an inf or nan distance has no plan
+    if not (want_plan and math.isfinite(distance)):
         plan = None
-    return DistanceResult(
-        distance,
-        finiteness,
-        path,
-        iterations,
-        time.perf_counter_ns() - started,
-        plan,
-    )
-
-
-def _as_points(values, name):
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError(f"{name} is not a numeric array: {exc}") from None
+    return DistanceResult(distance, path, iterations, time.perf_counter_ns() - started, plan)

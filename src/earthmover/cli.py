@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .api import wasserstein_distance
+from .distributions import Finiteness
 from .errors import SolverError, ValidationError
 
 EXIT_OK = 0
@@ -60,14 +61,6 @@ def _read_weights(path, skip_header):
     return values
 
 
-def _json_distance(value):
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf"
-    return value
-
-
 def _cmd_compute(args):
     u = _read_rows(args.u, args.header)
     v = _read_rows(args.v, args.header)
@@ -75,8 +68,10 @@ def _cmd_compute(args):
     v_w = _read_weights(args.v_weights, args.header) if args.v_weights else None
     result = wasserstein_distance(u, v, u_w, v_w, want_plan=args.plan is not None)
 
+    distance = result.distance
     payload = {
-        "distance": _json_distance(result.distance),
+        # JSON has no inf or nan: those distances are written as strings
+        "distance": distance if result.finiteness is Finiteness.FINITE else str(distance),
         "path": result.path,
         "iterations": result.iterations,
         "wall_time_ns": result.wall_time_ns,
@@ -163,6 +158,8 @@ def main(argv=None):
     bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.min_exp > args.max_exp:
+        bench.error(f"argument --min-exp: {args.min_exp} is above --max-exp {args.max_exp}")
     try:
         return args.func(args)
     except (ValidationError, SolverError, OSError, _CsvError) as exc:

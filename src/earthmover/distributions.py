@@ -21,6 +21,7 @@ from .errors import (
 __all__ = [
     "DiscreteDistribution",
     "Finiteness",
+    "as_float_array",
     "validate",
     "normalize",
     "classify_finiteness",
@@ -54,17 +55,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def as_float_array(values, error, name: str) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one already.
+
+    Raises ``error``, a ValidationError subclass, for values that are not
+    real numbers: a complex array would lose its imaginary part.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex values are not real numbers")
+        return arr.astype(np.float64, copy=False)
+    except (ValueError, TypeError) as exc:
+        raise error(f"{name} is not a real numeric array: {exc}") from None
+
+
 def validate(points, weights=None) -> DiscreteDistribution:
     """Check raw arrays and build a distribution.
 
     1D point input is reshaped to (n, 1). Missing weights are synthesized as
-    uniform. Raises ShapeError for inputs that are not 1D/2D numeric arrays,
-    WeightLengthError / NegativeWeightError / WeightSumError for bad weights.
+    uniform. Raises ShapeError for inputs that are not 1D/2D arrays of real
+    numbers, WeightLengthError / NegativeWeightError / WeightSumError for bad
+    weights.
     """
-    try:
-        pts = np.asarray(points, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError(f"points are not a numeric array: {exc}") from None
+    pts = as_float_array(points, ShapeError, "points")
     if pts.ndim > 2:
         raise ShapeError(f"points must be a 1D or 2D array, got {pts.ndim} axes")
     if pts.ndim == 0:
@@ -80,10 +94,7 @@ def validate(points, weights=None) -> DiscreteDistribution:
     if weights is None:
         w = np.ones(n, dtype=np.float64)
     else:
-        try:
-            w = np.asarray(weights, dtype=np.float64)
-        except (ValueError, TypeError) as exc:
-            raise WeightLengthError(f"weights are not a numeric array: {exc}") from None
+        w = as_float_array(weights, WeightLengthError, "weights")
         if w.ndim != 1 or w.shape[0] != n:
             raise WeightLengthError(
                 f"weights must be a flat array of length {n}, got shape {w.shape}"

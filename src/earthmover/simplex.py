@@ -62,11 +62,14 @@ changes, so neither does its potential, and every potential stays equal,
 bit for bit, to the one ``derive_potentials`` would compute from the tree.
 
 A pivot touches only the cycle (a median of ~31 nodes below the apex on
-128 x 128 assignments) and the moved subtree (a median of 2), so the tree
-update is scalar walks over the lists, as in LEMON's network simplex: up the
-cycle by depth; the ratio test, flow shifts and re-rooting over the cycle or
-path; and one walk of the moved subtree down ``kids``, which sets its depths
-and potentials (no other depth or potential changes). NumPy does only the
+128 x 128 assignments) and the moved subtree (a median of 2 nodes, mean 20,
+on 128 x 128 assignments; a median of 57, mean 79, on 160 x 120 weighted
+points of an 8 x 8 grid), so the tree update is scalar walks over the lists,
+as in LEMON's network simplex: up the cycle by depth; the ratio test, flow
+shifts and re-rooting over the cycle or path; and one walk of the moved
+subtree down ``kids``, which sets its depths and potentials (no other depth
+or potential changes). That walk stays scalar however large the subtree,
+because each potential is computed from its parent's. NumPy does only the
 pricing, one block of at most about BLOCK_CELLS cells at a time.
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
@@ -168,8 +171,8 @@ class SpanningTree:
         while stack:
             x = stack.pop()
             depth[x] = depth[parent[x]] + 1
-            # scalar writes: a fancy-indexed write costs more than the few
-            # nodes a moved subtree usually has
+            # one node at a time: the parent's potential is set first, by
+            # this same walk
             potential[x] = edge[x] - potential.item(parent[x])
             stack += kids[x]
 
@@ -354,7 +357,11 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
         cost = problem.cost[np.ix_(rows, cols)]
     tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
     pivot_limit = pivot_budget(n, m)
-    objective = float(np.dot(tree.flow[1:], tree.edge[1:]))
+    # the start's cost, added up cell by cell in node order: np.dot may pair
+    # the terms differently, and from Python 3.12 builtin sum compensates
+    objective = 0.0
+    for f, c in zip(tree.flow[1:], tree.edge[1:]):
+        objective += f * c
 
     iterations = block = 0
     while True:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DualityGapError, MassMismatchError
+from .distributions import as_float_array
+from .errors import DualityGapError, MassMismatchError, ShapeError
 
 __all__ = [
     "TransportProblem",
@@ -89,10 +90,13 @@ class TransportSolution:
 
 
 def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
-    """Assemble a balanced instance: marginals >= 0 whose positive totals agree to 1e-10."""
-    cost = np.asarray(cost, dtype=np.float64)
-    supply = np.asarray(supply, dtype=np.float64)
-    demand = np.asarray(demand, dtype=np.float64)
+    """Assemble a balanced instance: marginals >= 0 whose positive totals agree to 1e-10.
+
+    Raises ShapeError for a cost or marginal that is not real numbers.
+    """
+    cost = as_float_array(cost, ShapeError, "cost")
+    supply = as_float_array(supply, ShapeError, "supply")
+    demand = as_float_array(demand, ShapeError, "demand")
     if cost.shape != (supply.shape[0], demand.shape[0]):
         raise MassMismatchError(
             f"cost shape {cost.shape} does not match marginals "

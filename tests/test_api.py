@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import earthmover
 from earthmover import (
     DimensionMismatchError,
+    DistanceResult,
     Finiteness,
     NegativeWeightError,
     ShapeError,
@@ -234,6 +236,46 @@ class TestErrors:
             wasserstein_distance([0, 1], [0, 1], [-1, 2], None)
         with pytest.raises(WeightSumError, match="E_WEIGHT_SUM"):
             wasserstein_distance([0, 1], [0, 1], [0, 0], None)
+
+    # casting a complex array to float64 drops its imaginary part with only
+    # a ComplexWarning, so these would return a distance instead of raising
+    @pytest.mark.parametrize(
+        "u, v", [([1 + 5j, 2], [0.0, 1.0]), ([[1 + 5j, 0], [2, 0]], [[0.0, 0.0], [1.0, 0.0]])]
+    )
+    def test_complex_points(self, u, v):
+        with pytest.raises(ShapeError, match="E_SHAPE: u_values is not a real numeric array"):
+            wasserstein_distance(np.array(u), v)
+        with pytest.raises(ShapeError, match="E_SHAPE: v_values is not a real numeric array"):
+            wasserstein_distance(v, np.array(u))
+
+    def test_complex_weights(self):
+        for points in ([0.0, 1.0], [[0.0], [1.0]]):  # the CDF path, then the LP path
+            with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN"):
+                wasserstein_distance(points, points, np.array([1 + 1j, 1]))
+            with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN"):
+                wasserstein_distance(points, points, None, np.array([1, 1 + 0j]))
+
+
+class TestDistanceResult:
+    """``finiteness`` is read off ``distance``, never passed in."""
+
+    @pytest.mark.parametrize(
+        "distance, finiteness",
+        [
+            (0.0, Finiteness.FINITE),
+            (1.5, Finiteness.FINITE),
+            (math.inf, Finiteness.INFINITE),
+            (math.nan, Finiteness.UNDEFINED),
+        ],
+    )
+    def test_finiteness_follows_the_distance(self, distance, finiteness):
+        assert DistanceResult(distance, "lp", 0, 1).finiteness is finiteness
+        # replace builds a new result, so the label follows the new distance
+        assert replace(DistanceResult(2.0, "lp", 0, 1), distance=distance).finiteness is finiteness
+
+    def test_finiteness_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            DistanceResult(1.0, "lp", 0, 1, finiteness=Finiteness.INFINITE)
 
 
 class TestDistanceProperties:

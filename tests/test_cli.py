@@ -224,6 +224,17 @@ class TestInputRejection:
         assert f"argument {option}: -1 is negative" in err
         assert not out_path.exists()
 
+    def test_empty_bench_size_range_is_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--min-exp", "3", "--max-exp", "1", "--repeats", "1",
+                      "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "argument --min-exp: 3 is above --max-exp 1" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_exit_status_reaches_the_shell(tmp_path, square):
     """``python -m earthmover.cli`` hands ``main``'s return value to the process exit status."""

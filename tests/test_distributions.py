@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from earthmover.distributions import (
     Finiteness,
+    as_float_array,
     classify_finiteness,
     normalize,
     validate,
@@ -60,6 +61,22 @@ class TestValidate:
     def test_non_numeric_weights_rejected(self):
         with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN"):
             validate([0, 1], weights=["a", "b"])
+
+    def test_complex_input_rejected(self):
+        # a complex array would otherwise be cast with only a ComplexWarning
+        with pytest.raises(ShapeError, match="E_SHAPE: points is not a real numeric array"):
+            validate(np.array([1 + 5j, 2]))
+        with pytest.raises(ShapeError, match="E_SHAPE"):
+            validate([1 + 5j, 2])
+        with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN: weights is not a real"):
+            validate([0, 1], np.array([1, 1 + 0j]))
+
+    def test_float64_input_is_converted_without_a_copy(self):
+        values = np.array([[0.0, 1.0], [2.0, 3.0]])
+        assert as_float_array(values, ShapeError, "values") is values
+        converted = as_float_array([1, 2], ShapeError, "values")
+        assert converted.dtype == np.float64
+        np.testing.assert_array_equal(converted, [1.0, 2.0])
 
     def test_weight_sum_zero(self):
         with pytest.raises(WeightSumError, match="E_WEIGHT_SUM"):

@@ -354,6 +354,31 @@ class TestSolve:
             pivots += solution.iterations
         assert pivots >= 20
 
+    def test_degenerate_first_pivot_reports_the_node_order_start_objective(self, monkeypatch):
+        # on this 12 x 12 assignment the node-order sum and np.dot of the
+        # start's flows and costs differ in the last bit, and the first pivot
+        # is degenerate, so its objective is the start objective unchanged
+        rng = np.random.default_rng(8)
+        u, v = normalize(validate(rng.random((12, 2)))), normalize(validate(rng.random((12, 2))))
+        problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
+        start = initial_basis(problem)
+        expected = 0.0
+        for cell, f in start.flows.items():
+            expected += f * problem.cost[cell]
+        assert expected != float(np.dot(start.flow[1:], start.edge[1:]))
+
+        thetas, objectives = [], []
+        pivot = SpanningTree.pivot
+
+        def recorded_pivot(tree, i, j):
+            thetas.append(pivot(tree, i, j))
+            return thetas[-1]
+
+        monkeypatch.setattr(SpanningTree, "pivot", recorded_pivot)
+        solve(problem, callback=lambda _, objective: objectives.append(objective))
+        assert thetas[0] == 0.0
+        assert objectives[0].hex() == expected.hex()
+
     def test_start_is_strongly_feasible(self):
         # zero flows may sit only on cells whose lower end is a source
         rng = np.random.default_rng(72)

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from earthmover.distributions import normalize, validate
-from earthmover.errors import DualityGapError, MassMismatchError
+from earthmover.errors import DualityGapError, MassMismatchError, ShapeError
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import OPTIMALITY_TOL, solve
 from earthmover.transport_lp import (
@@ -96,6 +96,21 @@ class TestBuildProblem:
     def test_zero_total_rejected(self):
         with pytest.raises(MassMismatchError, match="positive total"):
             build_problem(np.ones((1, 1)), [0.0], [0.0])
+
+    def test_complex_input_rejected(self):
+        # casting would drop the imaginary parts with only a ComplexWarning
+        cost, supply, demand = np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.5])
+        for name, args in [
+            ("cost", (cost + 1j, supply, demand)),
+            ("supply", (cost, supply + 0j, demand)),
+            ("demand", (cost, supply, demand.astype(complex))),
+        ]:
+            with pytest.raises(ShapeError, match=f"E_SHAPE: {name} is not a real numeric array"):
+                build_problem(*args)
+
+    def test_non_numeric_input_rejected(self):
+        with pytest.raises(ShapeError, match="E_SHAPE: cost"):
+            build_problem([["a", "b"]], [1.0], [0.5, 0.5])
 
 
 class TestConstraintStructure:
