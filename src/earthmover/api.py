@@ -118,14 +118,12 @@ def wasserstein_distance(
         distance = cdf_distance_1d(u_dist, v_dist)
         plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
     else:
-        # a cost is at most 2 sqrt(d) <= 2^shift times the largest |coordinate|;
-        # where that could overflow, costs come from points scaled by 2^-shift
-        shift = 1 + math.ceil(math.log2(u_dist.dim) / 2)
-        if math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))[1] + shift > 1023:
-            u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -shift))
-            v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -shift))
-        else:
-            shift = 0
+        # costs come from points scaled by a power of two into (-1, 1), so no
+        # difference or hypot overflows and every power-of-two rescaling of
+        # the input gives the LP the same problem
+        _, scale = math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))
+        u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -scale))
+        v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -scale))
         costs = pairwise_costs(u_dist, v_dist)
         # the solver's tolerances are absolute: solve on costs in [0.5, 1),
         # scaled by a power of two so that no cost is rounded
@@ -133,8 +131,9 @@ def wasserstein_distance(
         np.ldexp(costs, -exponent, out=costs)
         problem = build_problem(costs, u_dist.weights, v_dist.weights)
         solution = solve(problem)
-        # the product by 2.0**shift overflows to inf; math.ldexp would raise
-        distance = math.ldexp(max(0.0, solution_distance(solution)), exponent) * 2.0**shift
+        # past the float maximum the distance reads inf; math.ldexp would raise
+        with np.errstate(over="ignore"):
+            distance = float(np.ldexp(max(0.0, solution_distance(solution)), exponent + scale))
         plan = solution.plan
         iterations = solution.iterations
 

@@ -35,13 +35,10 @@ class _CsvError(ValueError):
 def _read_rows(path, skip_header):
     try:
         with open(path, newline="") as fh:
-            rows = []
-            for index, row in enumerate(csv.reader(fh)):
-                if skip_header and index == 0:
-                    continue
-                if not row:
-                    continue
-                rows.append([float(cell) for cell in row])
+            records = csv.reader(fh)
+            if skip_header:
+                next(records, None)
+            rows = [[float(cell) for cell in row] for row in records if row]
     except (ValueError, csv.Error) as exc:
         raise _CsvError(exc) from None
     if not rows:
@@ -160,6 +157,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "bench" and args.min_exp > args.max_exp:
         bench.error(f"argument --min-exp: {args.min_exp} is above --max-exp {args.max_exp}")
+    if args.command == "bench" and args.repeats == 0:
+        bench.error("argument --repeats: 0 trials per size time nothing")
     try:
         return args.func(args)
     except (ValidationError, SolverError, OSError, _CsvError) as exc:

@@ -165,7 +165,7 @@ class TestSpecialValues:
         assert result.distance == 0.0
         assert result.finiteness is Finiteness.FINITE
 
-    # these run with overflow warnings as errors: the scaling decision is made
+    # these run with overflow warnings as errors: the points are scaled
     # before any cost is computed, so no difference or hypot may overflow
     @pytest.mark.parametrize("d", [1, 2, 3, 9])
     def test_lp_cost_past_the_float_maximum_is_infinite(self, d):
@@ -394,6 +394,24 @@ class TestDistanceProperties:
                 scaled = wasserstein_distance(scale * pts_u, scale * pts_v, w_u, w_v)
                 assert scaled.finiteness is Finiteness.FINITE
                 assert scaled.distance == pytest.approx(scale * base, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 9])
+    def test_exact_homogeneity_at_the_ends_of_the_exponent_range(self, d):
+        # coordinates j / 2^12 with |j| < 2^12 scale by 2^k without rounding,
+        # down into the subnormals and up to where a cost bound of 2 sqrt(d)
+        # times the largest coordinate would pass the float maximum
+        for seed in range(5):
+            rng = np.random.default_rng([d, seed])
+            pts_u = rng.integers(-2**12 + 1, 2**12, (7, d)) / 2.0**12
+            pts_v = rng.integers(-2**12 + 1, 2**12, (5, d)) / 2.0**12
+            w_v = rng.integers(1, 6, 5)
+            base = wasserstein_distance(pts_u, pts_v, None, w_v).distance
+            for k in (-1060, -1040, -1024, -1022, -1021, 1020, 1021, 1022):
+                scaled_u, scaled_v = np.ldexp(pts_u, k), np.ldexp(pts_v, k)
+                assert (np.ldexp(scaled_u, -k) == pts_u).all()
+                assert (np.ldexp(scaled_v, -k) == pts_v).all()
+                scaled = wasserstein_distance(scaled_u, scaled_v, None, w_v)
+                assert scaled.distance == math.ldexp(base, k)
 
 
 @st.composite

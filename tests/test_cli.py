@@ -235,6 +235,16 @@ class TestInputRejection:
         assert "argument --min-exp: 3 is above --max-exp 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_bench_repeats_is_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--max-exp", "0", "--repeats", "0", "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "argument --repeats: 0 trials" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_exit_status_reaches_the_shell(tmp_path, square):
     """``python -m earthmover.cli`` hands ``main``'s return value to the process exit status."""

@@ -1,11 +1,14 @@
 """LP encoding: the dense constraint oracle, plan bookkeeping, dual decoding."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from earthmover.api import wasserstein_distance
 from earthmover.distributions import normalize, validate
 from earthmover.errors import DualityGapError, MassMismatchError, ShapeError
 from earthmover.geometry import pairwise_costs
@@ -184,6 +187,23 @@ class TestAgainstLinprog:
             assert abs(solution_distance(solution) - highs.fun) <= bound
             pivots += solution.iterations
         assert pivots >= 40
+
+    def test_every_row_order_reaches_the_highs_optimum(self):
+        # one tiny coordinate leaves reduced costs of ~1e-9 on the scaled
+        # costs; a stop at that size read 1.2e-9 above HiGHS's
+        # 1.678511300799068 in 432 of the 720 orders
+        u = np.zeros((6, 3))
+        u[4], u[5] = [4.0, 0.0, 0.0], [0.0, 0.0, 1e-8]
+        v = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        problem = build_problem(
+            pairwise_costs(validate(u), validate(v)), np.full(6, 1 / 6), np.full(2, 1 / 2)
+        )
+        A, b = materialize_constraints(problem)
+        highs = linprog(problem.cost.ravel(), A_eq=A, b_eq=b, method="highs")
+        assert highs.status == 0
+        for order in itertools.permutations(range(6)):
+            distance = wasserstein_distance(u[list(order)], v).distance
+            assert abs(distance - highs.fun) <= 2 * math.ulp(highs.fun)
 
 
 class TestSolutionDistance:
