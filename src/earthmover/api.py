@@ -118,10 +118,13 @@ def wasserstein_distance(
         distance = cdf_distance_1d(u_dist, v_dist)
         plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
     else:
-        # costs come from points scaled by a power of two into (-1, 1), so no
-        # difference or hypot overflows and every power-of-two rescaling of
-        # the input gives the LP the same problem
-        _, scale = math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))
+        # costs come from points scaled by the power of two that puts the
+        # largest |coordinate| just below 2^(1023 - h), h = 1 + ceil(log2(d) / 2):
+        # a cost is at most 2 sqrt(d) <= 2^h times it, so none overflows,
+        # small coordinates keep all the range below, and every power-of-two
+        # rescaling of the input gives the LP the same problem
+        _, top = math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))
+        scale = top - 1022 + math.ceil(math.log2(u_dist.dim) / 2)
         u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -scale))
         v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -scale))
         costs = pairwise_costs(u_dist, v_dist)

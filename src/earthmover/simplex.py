@@ -109,9 +109,16 @@ from .transport_lp import TransportPlan, TransportProblem, TransportSolution
 
 __all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 
-# Costs lie in [0.5, 1): on uniform 128 x 128 to 2048 x 2048 solves the
-# potentials stay below 0.3 in magnitude and basic cells price to exactly 0,
-# so a reduced cost carries ~1e-16 of rounding, three orders below this.
+# Costs lie in [0.5, 1). A potential is edge - potential[parent], so it is off
+# by at most half an ulp of each potential on its path to the root: depth *
+# 2^-55 while potentials stay below 0.5. A reduced cost adds two of these and
+# two roundings of its own, so its noise stays below this tolerance in trees
+# up to ~1800 deep. Depths and potentials are measured, not bounded: the
+# deepest tree seen was 491 (uniform 2048 x 2048, sampled every 200 pivots),
+# 101 on the bench pools of lp_assignment and lp_weighted (seeds 1 and 7,
+# every pivot), with potentials below 0.47 and within 2.7e-16 of their exact
+# values. On the pools every entering cell had a negative exact reduced
+# cost, the smallest in magnitude 5.1e-7, so no zero-gain cell entered.
 OPTIMALITY_TOL = 1e-13
 # Cells priced per block, as whole rows: ceil(BLOCK_CELLS / m) of them. A
 # small block pays NumPy's fixed cost per call more often and takes more

@@ -190,6 +190,15 @@ class TestSpecialValues:
         assert result.distance == 8e307
         assert result.finiteness is Finiteness.FINITE
 
+    @pytest.mark.parametrize("offset", [1e-30, 1e-10])
+    def test_small_offset_beside_huge_coordinates_is_exact(self, offset):
+        # scaled so that 1e300 fell below 1, the offset would be 2^997 times
+        # smaller: 1e-30 rounds to zero there, and 1e-10 turns subnormal and
+        # keeps 13 of its digits
+        result = wasserstein_distance([[1e300, 0.0], [1e300, offset]], [[1e300, 0.0]])
+        assert result.distance == offset / 2
+        assert result.finiteness is Finiteness.FINITE
+
     def test_classification_happens_before_solving(self):
         # huge point counts would be slow to solve; classification short-circuits
         result = wasserstein_distance([np.inf] + [0.0] * 5000, list(range(5001)))
