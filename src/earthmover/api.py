@@ -114,31 +114,34 @@ def wasserstein_distance(
     v_dist = normalize(v_dist)
     if special is not Finiteness.FINITE:
         distance = math.inf if special is Finiteness.INFINITE else math.nan
-    elif path == PATH_CDF1D:
-        distance = cdf_distance_1d(u_dist, v_dist)
-        plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
     else:
-        # costs come from points scaled by the power of two that puts the
+        # both paths run on points scaled by the power of two that puts the
         # largest |coordinate| just below 2^(1023 - h), h = 1 + ceil(log2(d) / 2):
-        # a cost is at most 2 sqrt(d) <= 2^h times it, so none overflows,
-        # small coordinates keep all the range below, and every power-of-two
-        # rescaling of the input gives the LP the same problem
+        # a cost, or in 1D a merged gap, is at most 2 sqrt(d) <= 2^h times it,
+        # so none overflows, small coordinates keep all the range below, and
+        # every power-of-two rescaling of the input gives the same problem
         _, top = math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))
         scale = top - 1022 + math.ceil(math.log2(u_dist.dim) / 2)
         u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -scale))
         v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -scale))
-        costs = pairwise_costs(u_dist, v_dist)
-        # the solver's tolerances are absolute: solve on costs in [0.5, 1),
-        # scaled by a power of two so that no cost is rounded
-        _, exponent = math.frexp(float(costs.max()))
-        np.ldexp(costs, -exponent, out=costs)
-        problem = build_problem(costs, u_dist.weights, v_dist.weights)
-        solution = solve(problem)
+        if path == PATH_CDF1D:
+            distance = cdf_distance_1d(u_dist, v_dist)
+            plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
+        else:
+            costs = pairwise_costs(u_dist, v_dist)
+            # the solver's tolerances are absolute: solve on costs in [0.5, 1),
+            # scaled by a power of two so that no cost is rounded
+            _, exponent = math.frexp(float(costs.max()))
+            np.ldexp(costs, -exponent, out=costs)
+            problem = build_problem(costs, u_dist.weights, v_dist.weights)
+            solution = solve(problem)
+            distance = max(0.0, solution_distance(solution))
+            scale += exponent
+            plan = solution.plan
+            iterations = solution.iterations
         # past the float maximum the distance reads inf; math.ldexp would raise
         with np.errstate(over="ignore"):
-            distance = float(np.ldexp(max(0.0, solution_distance(solution)), exponent + scale))
-        plan = solution.plan
-        iterations = solution.iterations
+            distance = float(np.ldexp(distance, scale))
 
     # finite coordinates can still overflow, e.g. [-1e308] against [1e308]:
     # an inf or nan distance has no plan

@@ -49,12 +49,16 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution) -> MergedSu
 
 
 def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
-    """Sum of |U - V| times the gap between consecutive merged positions."""
+    """Sum of |U - V| times the gap between consecutive merged positions.
+
+    The gaps must be finite: where two positions lie more than the float
+    maximum apart, the gap is ``inf`` and a zero CDF difference times it is
+    ``nan``. ``wasserstein_distance`` scales the points by a power of two so
+    that every gap is finite.
+    """
     ms = merged_support(u, v)
     gap = np.abs(ms.u_cdf[:-1] - ms.v_cdf[:-1])
-    # Where the CDFs agree the interval adds nothing, even if its width
-    # overflowed to inf; those products are skipped and stay 0, not nan.
-    np.multiply(gap, np.diff(ms.positions), out=gap, where=gap > 0)
+    gap *= np.diff(ms.positions)
     return float(np.sum(gap))
 
 

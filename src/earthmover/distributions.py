@@ -101,7 +101,9 @@ def validate(points, weights=None) -> DiscreteDistribution:
             )
         if np.any(w < 0):
             raise NegativeWeightError("weights must be non-negative")
-        total = float(w.sum())
+        # a sum past the float maximum is inf, which the check below rejects
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         if not np.isfinite(total) or total <= 0:
             raise WeightSumError(f"weight sum must be positive and finite, got {total}")
         w = w.copy()

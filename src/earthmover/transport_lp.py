@@ -102,7 +102,9 @@ def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
             f"cost shape {cost.shape} does not match marginals "
             f"({supply.shape[0]}, {demand.shape[0]})"
         )
-    totals = float(supply.sum()), float(demand.sum())
+    # a total past the float maximum is inf, which the balance check rejects
+    with np.errstate(over="ignore"):
+        totals = float(supply.sum()), float(demand.sum())
     if not ((supply >= 0.0).all() and (demand >= 0.0).all() and min(totals) > 0.0):
         raise MassMismatchError("marginals must be non-negative with a positive total")
     gap = abs(totals[0] - totals[1])

@@ -150,17 +150,16 @@ class TestSpecialValues:
         result = wasserstein_distance([[np.nan, 0.0]], [[1.0, 2.0]])
         assert math.isnan(result.distance)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_of_finite_points_is_infinite(self):
         result = wasserstein_distance([-1e308], [1e308], want_plan=True)
         assert math.isinf(result.distance)
         assert result.finiteness is Finiteness.INFINITE
         assert result.plan is None
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_gap_with_equal_cdfs_adds_nothing(self):
-        # the merged gap 1e308 - (-1e308) overflows to inf, but both CDFs
-        # agree across it, so the interval must not contribute 0 * inf = nan
+        # unscaled, the merged gap 1e308 - (-1e308) would overflow to inf and
+        # give 0 * inf = nan where both CDFs agree; the points are scaled
+        # first, so the gap is finite and no overflow warning is raised
         result = wasserstein_distance([-1e308, 1e308], [-1e308, 1e308])
         assert result.distance == 0.0
         assert result.finiteness is Finiteness.FINITE
@@ -198,6 +197,17 @@ class TestSpecialValues:
         result = wasserstein_distance([[1e300, 0.0], [1e300, offset]], [[1e300, 0.0]])
         assert result.distance == offset / 2
         assert result.finiteness is Finiteness.FINITE
+        flat = wasserstein_distance([1e300, offset], [1e300, 0.0])
+        assert flat.path == "cdf1d"
+        assert flat.distance == offset / 2
+
+    def test_subnormal_points_keep_their_precision(self):
+        # half the mass moves 2^-1074 and half 2^-1073: the mean, 1.5 * 2^-1074,
+        # rounds to even at 2^-1073, which needs the gaps and products computed
+        # on scaled points, not at subnormal precision
+        result = wasserstein_distance([2**-1074, 2**-1073], [0.0])
+        assert result.path == "cdf1d"
+        assert result.distance == 2**-1073
 
     def test_classification_happens_before_solving(self):
         # huge point counts would be slow to solve; classification short-circuits
@@ -245,6 +255,12 @@ class TestErrors:
             wasserstein_distance([0, 1], [0, 1], [-1, 2], None)
         with pytest.raises(WeightSumError, match="E_WEIGHT_SUM"):
             wasserstein_distance([0, 1], [0, 1], [0, 0], None)
+
+    def test_weight_sum_past_the_float_maximum(self):
+        # the sum overflows to inf; under the suite's warnings-as-errors the
+        # overflow must not surface as a RuntimeWarning instead of the error
+        with pytest.raises(WeightSumError, match="E_WEIGHT_SUM"):
+            wasserstein_distance([0, 1], [0, 1], [1e308, 1e308])
 
     # casting a complex array to float64 drops its imaginary part with only
     # a ComplexWarning, so these would return a distance instead of raising
@@ -404,15 +420,19 @@ class TestDistanceProperties:
                 assert scaled.finiteness is Finiteness.FINITE
                 assert scaled.distance == pytest.approx(scale * base, rel=1e-14)
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 9])
+    @pytest.mark.parametrize("d", [pytest.param(1, id="cdf1d"), 2, 3, 5, 9])
     def test_exact_homogeneity_at_the_ends_of_the_exponent_range(self, d):
         # coordinates j / 2^12 with |j| < 2^12 scale by 2^k without rounding,
         # down into the subnormals and up to where a cost bound of 2 sqrt(d)
-        # times the largest coordinate would pass the float maximum
+        # times the largest coordinate would pass the float maximum; d = 1
+        # takes flat arrays, since (n, 1) columns would take the LP path
+        path = "cdf1d" if d == 1 else "lp"
         for seed in range(5):
             rng = np.random.default_rng([d, seed])
             pts_u = rng.integers(-2**12 + 1, 2**12, (7, d)) / 2.0**12
             pts_v = rng.integers(-2**12 + 1, 2**12, (5, d)) / 2.0**12
+            if d == 1:
+                pts_u, pts_v = pts_u[:, 0], pts_v[:, 0]
             w_v = rng.integers(1, 6, 5)
             base = wasserstein_distance(pts_u, pts_v, None, w_v).distance
             for k in (-1060, -1040, -1024, -1022, -1021, 1020, 1021, 1022):
@@ -420,6 +440,7 @@ class TestDistanceProperties:
                 assert (np.ldexp(scaled_u, -k) == pts_u).all()
                 assert (np.ldexp(scaled_v, -k) == pts_v).all()
                 scaled = wasserstein_distance(scaled_u, scaled_v, None, w_v)
+                assert scaled.path == path
                 assert scaled.distance == math.ldexp(base, k)
 
 

@@ -87,6 +87,12 @@ class TestBuildProblem:
         with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
             build_problem(np.ones((2, 2)), [0.6, 0.6], [0.5, 0.5])
 
+    def test_total_past_the_float_maximum_rejected(self):
+        # the supply total overflows to inf, which must read as a mismatch,
+        # not as an overflow RuntimeWarning under warnings-as-errors
+        with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
+            build_problem(np.zeros((2, 1)), [1e308, 1e308], [1.0])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
             build_problem(np.ones((2, 2)), [0.5, 0.25, 0.25], [0.5, 0.5])
