@@ -129,8 +129,11 @@ def wasserstein_distance(
             plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
         else:
             costs = pairwise_costs(u_dist, v_dist)
-            # the solver's tolerances are absolute: solve on costs in [0.5, 1),
-            # scaled by a power of two so that no cost is rounded
+            # solve on costs in [0.5, 1), scaled by a power of two so that no
+            # cost is rounded: the solver's tolerances follow any cost scale,
+            # but its potentials are bounded only by measurement (the
+            # OPTIMALITY_TOL comment), and costs near 2^1022 would leave them
+            # about one bit of headroom
             _, exponent = math.frexp(float(costs.max()))
             np.ldexp(costs, -exponent, out=costs)
             problem = build_problem(costs, u_dist.weights, v_dist.weights)

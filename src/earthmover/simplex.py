@@ -34,7 +34,12 @@ is the global one. The walk is the same as over a full ranking: a cell
 outside the block has a crossed-out line, and lines never come back to life,
 so it would be skipped; and every cell of the block up to the round's last
 cost is visited and either crosses out a line or meets one already crossed
-out, so the next round's block holds only costlier cells.
+out, so the next round's block holds only costlier cells. The walk builds the
+tree as it goes. A crossed-out line gets no more cells, so it hangs from the
+line kept, by the cell that crossed it out, which is its last. The one line
+never crossed out, the last live row, is the root. The path from source 0 up
+to it is then turned round, as a pivot re-roots a moved subtree, so that the
+tree hangs from source 0, as the anti-cycling argument below requires.
 
 Pivot. Pricing reads the reduced cost cost[i, j] - potential[i] -
 potential[n + j] of a block of rows at a time, computed from the potentials
@@ -109,16 +114,20 @@ from .transport_lp import TransportPlan, TransportProblem, TransportSolution
 
 __all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 
-# Costs lie in [0.5, 1). A potential is edge - potential[parent], so it is off
-# by at most half an ulp of each potential on its path to the root: depth *
-# 2^-55 while potentials stay below 0.5. A reduced cost adds two of these and
-# two roundings of its own, so its noise stays below this tolerance in trees
-# up to ~1800 deep. Depths and potentials are measured, not bounded: the
-# deepest tree seen was 491 (uniform 2048 x 2048, sampled every 200 pivots),
-# 101 on the bench pools of lp_assignment and lp_weighted (seeds 1 and 7,
-# every pivot), with potentials below 0.47 and within 2.7e-16 of their exact
-# values. On the pools every entering cell had a negative exact reduced
-# cost, the smallest in magnitude 5.1e-7, so no zero-gain cell entered.
+# Relative to the cost scale: solve compares reduced costs with OPTIMALITY_TOL
+# times 2^e, e the math.frexp exponent of the largest |cost|. That is the same
+# test on the costs scaled by 2^-e, whose largest magnitude lies in [0.5, 1),
+# and the rest of this comment speaks of those. A potential is edge -
+# potential[parent], so it is off by at most half an ulp of each potential on
+# its path to the root: depth * 2^-55 while potentials stay below 0.5. A
+# reduced cost adds two of these and two roundings of its own, so its noise
+# stays below this tolerance in trees up to ~1800 deep. Depths and potentials
+# are measured, not bounded: the deepest tree seen was 491 (uniform 2048 x
+# 2048, sampled every 200 pivots), 101 on the bench pools of lp_assignment
+# and lp_weighted (seeds 1 and 7, every pivot), with potentials below 0.47 and
+# within 2.7e-16 of their exact values. On the pools every entering cell had
+# a negative exact reduced cost, the smallest in magnitude 5.1e-7, so no
+# zero-gain cell entered.
 OPTIMALITY_TOL = 1e-13
 # Cells priced per block, as whole rows: ceil(BLOCK_CELLS / m) of them. A
 # small block pays NumPy's fixed cost per call more often and takes more
@@ -258,6 +267,11 @@ class SpanningTree:
 def initial_basis(problem: TransportProblem) -> SpanningTree:
     """Strongly feasible starting tree by the cheapest-cell rule (see the module docstring).
 
+    Each crossed-out line hangs from the line kept, so the walk ends with a
+    tree rooted at the last live row; the path from source 0 up to that row
+    is turned round, which roots the tree at source 0. A node's ``kids`` are
+    in the order of their cells, and a path node gets its old parent last.
+
     With zero masses the start is still a feasible basis of n + m - 1 cells,
     but not strongly feasible; ``solve`` never passes such a problem.
 
@@ -279,7 +293,7 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     eps[0] = 1 - total
     live = [True] * total
     rows_live, cols_live = n, m
-    adjacent = [[] for _ in range(total)]
+    parent, flow, kids = [-1] * total, [0.0] * total, [[] for _ in range(total)]
     rows, cols = np.arange(n), np.arange(n, total)
     block = problem.cost.ravel()
     while rows_live and cols_live:
@@ -307,27 +321,27 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
             live[out] = False
             left[kept] -= amount
             eps[kept] -= eps[out]
-            adjacent[i].append((t, amount))
-            adjacent[t].append((i, amount))
+            # the crossed-out line gets no more cells, so it hangs from the
+            # line kept by this one
+            parent[out], flow[out] = kept, amount
+            kids[kept].append(out)
             if not (rows_live and cols_live):
                 break
         alive = np.array(live)
         rows, cols = rows[alive[rows]], cols[alive[cols]]
         block = problem.cost[np.ix_(rows, cols - n)].ravel()
 
-    # root the n + m - 1 cells at source 0, depth first
-    parent = [-1] * total
-    flow = [0.0] * total
-    kids = [[] for _ in range(total)]
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y, f in adjacent[x]:
-            if y != parent[x]:
-                parent[y] = x
-                flow[y] = f
-                kids[x].append(y)
-                stack.append(y)
+    # the row never crossed out is the root; turn the path from source 0 up
+    # to it round, as a pivot re-roots a moved subtree: each path node hangs
+    # from the one below it by that node's old cell
+    below, x, carried = 0, parent[0], flow[0]
+    while x >= 0:
+        kids[x].remove(below)
+        kids[below].append(x)
+        flow[x], carried = carried, flow[x]
+        # parent[x] is assigned before x moves up
+        parent[x], below, x = below, x, parent[x]
+    parent[0], flow[0] = -1, 0.0
     return SpanningTree(problem.cost, parent, flow, kids)
 
 
@@ -348,7 +362,7 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     Each pivot is priced by ``_price`` from the tree's potentials, resuming
     at the block after the last one priced. A pivot sets the potentials it
     changes exactly as ``derive_potentials`` would, so the solve stops as
-    soon as no block holds a reduced cost below -OPTIMALITY_TOL.
+    soon as no block holds a reduced cost below -OPTIMALITY_TOL times 2^e.
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError past
@@ -356,8 +370,10 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     cycling bug: these instances are always feasible and bounded.
 
     ``OPTIMALITY_TOL`` and the duality-gap check of ``solution_distance`` are
-    absolute, so costs are expected to be of order one. ``wasserstein_distance``
-    scales its costs into [0.5, 1) by a power of two before calling this.
+    relative to the cost scale: both are multiplied by 2^e, e the
+    ``math.frexp`` exponent of the largest |cost| (``problem.tolerance``). So
+    costs of any size are solved alike, and costs scaled by a power of two
+    take the same pivots to the same answer, scaled.
     """
     live_rows, live_cols = problem.supply > 0.0, problem.demand > 0.0
     rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
@@ -368,6 +384,7 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
         cost = problem.cost[np.ix_(rows, cols)]
     tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
     pivot_limit = pivot_budget(n, m)
+    tol = problem.tolerance(OPTIMALITY_TOL)
     # the start's cost, added up cell by cell in node order: np.dot may pair
     # the terms differently, and from Python 3.12 builtin sum compensates
     objective = 0.0
@@ -376,7 +393,7 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
     iterations = block = 0
     while True:
-        entering, block = _price(cost, tree.potential, block)
+        entering, block = _price(cost, tree.potential, block, tol)
         if entering is None:
             break
         enter_i, enter_j, gain = entering
@@ -404,14 +421,14 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
 
 
-def _price(cost: np.ndarray, potential: np.ndarray, block: int):
+def _price(cost: np.ndarray, potential: np.ndarray, block: int, tol: float):
     """Entering cell by block search from ``block`` on; returns ((i, j, gain) or None, next block).
 
     Blocks are ceil(BLOCK_CELLS / m) rows of ``cost``, the last one cut at
     row n. Each block, from ``block`` round to the one before it, computes
     its reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the
     potentials ``u`` of the sources and ``v`` of the targets. The first whose
-    most negative cell is below -OPTIMALITY_TOL gives that cell and its
+    most negative cell is below -tol gives that cell and its
     reduced cost, and the block after it is where the next scan starts. When
     none is, every cell was priced, and the scan ends where it started.
     """
@@ -426,7 +443,7 @@ def _price(cost: np.ndarray, potential: np.ndarray, block: int):
         reduced -= v
         k = int(reduced.argmin())
         gain = reduced.item(k)
-        if gain < -OPTIMALITY_TOL:
+        if gain < -tol:
             i, j = divmod(k, m)
             return (r0 + i, j, gain), block
     return None, block

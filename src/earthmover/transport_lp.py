@@ -13,6 +13,7 @@ The dense 0/1 constraint matrix of the same program, which a general LP solver
 would need, lives in the tests, where it serves as an oracle.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,14 @@ class TransportProblem:
     def rhs(self) -> np.ndarray:
         """Stacked [supply; demand] right-hand side."""
         return np.concatenate([self.supply, self.demand])
+
+    def tolerance(self, tol: float) -> float:
+        """``tol`` times 2^e, e the ``math.frexp`` exponent of the largest |cost|.
+
+        The solver's tolerances are relative to the cost scale, so a problem
+        scaled by a power of two is solved the same way, only scaled.
+        """
+        return math.ldexp(tol, math.frexp(max(-self.cost.min(), self.cost.max()))[1])
 
 
 @dataclass(frozen=True)
@@ -116,10 +125,14 @@ def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
 
 
 def solution_distance(solution: TransportSolution) -> float:
-    """Distance read off the dual: rhs . dual, checked against the primal objective."""
+    """Distance read off the dual: rhs . dual, checked against the primal objective.
+
+    The two may differ by at most ``DUALITY_GAP_TOL`` relative to the cost
+    scale (``TransportProblem.tolerance``).
+    """
     value = float(solution.problem.rhs() @ solution.dual)
     gap = abs(value - solution.objective)
-    if not gap <= DUALITY_GAP_TOL:
+    if not gap <= solution.problem.tolerance(DUALITY_GAP_TOL):
         raise DualityGapError(
             f"dual value {value!r} and primal objective {solution.objective!r} "
             f"disagree by {gap:.3e}"

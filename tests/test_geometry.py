@@ -34,8 +34,11 @@ def test_one_dimensional_absolute_differences():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(DimensionMismatchError, match="E_DIM"):
-        pairwise_costs(validate([[0, 1, 2]]), validate([[0, 1]]))
+    # without the check the second order is silent: v's third axis is
+    # ignored and the cost reads [[0.]]
+    for u, v in [([[0, 1, 2]], [[0, 1]]), ([[0, 1]], [[0, 1, 5]])]:
+        with pytest.raises(DimensionMismatchError, match="E_DIM"):
+            pairwise_costs(validate(u), validate(v))
 
 
 def test_transpose_symmetry_exact():

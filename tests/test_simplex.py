@@ -295,6 +295,25 @@ class TestSolve:
         assert solution.iterations == iterations
         assert solution_distance(solution).hex() == distance
 
+    def test_costs_of_any_scale_take_the_same_pivots(self):
+        # the tolerances follow the largest cost: absolute ones hit the pivot
+        # limit from x1e4 up and stopped 3.7% high after 20 pivots at x1e-12
+        rng = np.random.default_rng(3)
+        pts_u, pts_v = rng.random((40, 2)), rng.random((40, 2))
+
+        def solved(scale):
+            u, v = normalize(validate(pts_u * scale)), normalize(validate(pts_v * scale))
+            solution = solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
+            return solution_distance(solution), solution.iterations
+
+        distance, pivots = solved(1.0)
+        for k in (-1000, -40, 20, 1000):
+            assert solved(2.0**k) == (distance * 2.0**k, pivots)
+        for scale in (1e-12, 1e4, 1e6, 1e9, 1e300):
+            at_scale, at_pivots = solved(scale)
+            assert at_scale == pytest.approx(distance * scale, rel=1e-15)
+            assert at_pivots == pivots
+
     def test_cycle_walk_fails_fast_on_a_wrong_depth(self):
         problem = build_problem(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.75, 0.25], [0.5, 0.5])
         tree = initial_basis(problem)
@@ -457,16 +476,17 @@ class TestSolve:
         # the last one of 4 rows.
         monkeypatch.setattr(simplex, "BLOCK_CELLS", 300)
         n, m, rows, blocks = 37, 29, 11, 4
+        tol = simplex.OPTIMALITY_TOL
         rng = np.random.default_rng(90)
         potential = rng.random(n + m)
         cost = potential[:n, None] + potential[None, n:] + 0.5 + rng.random((n, m))
         for start in range(blocks):
-            assert simplex._price(cost, potential, start) == (None, start)
+            assert simplex._price(cost, potential, start, tol) == (None, start)
         for i, j in itertools.product(range(n), range(m)):
             planted = cost.copy()
             planted[i, j] = potential[i] + potential[n + j] - 0.25
             for start in range(blocks):
-                (at_i, at_j, gain), after = simplex._price(planted, potential, start)
+                (at_i, at_j, gain), after = simplex._price(planted, potential, start, tol)
                 assert (at_i, at_j) == (i, j)
                 assert gain == pytest.approx(-0.25, abs=1e-12)
                 assert after == (i // rows + 1) % blocks
