@@ -8,7 +8,8 @@ over the nodes (the tree indices of Ahuja, Magnanti & Orlin, *Network Flows*,
 - ``parent[x]``: the node above x, -1 at the root;
 - ``flow[x]``: the flow on the basic cell joining x to its parent, so each
   basic cell is stored once, at its lower end;
-- ``kids[x]``: the nodes whose parent is x, in no particular order;
+- ``kids[x]``: the nodes whose parent is x, in no particular order (node
+  order when the tree is built);
 - ``depth[x]``: the number of cells between x and the root;
 - ``edge[x]``: the cost of the cell above x, 0.0 at the root.
 
@@ -16,8 +17,9 @@ The dual values, ``potential[x]``, are one NumPy vector over the nodes:
 potential[0] = 0 and potential[x] = edge[x] - potential[parent[x]], so the
 cost of every basic cell is the sum of the potentials of its two ends. Each
 potential is only ever set by that expression, from the parent down, and
-never shifted: ``derive_potentials`` sets all of them from the root, and a
-pivot sets those of the subtree it moved.
+never shifted: ``SpanningTree(cost, parent, flow)`` derives ``kids``,
+``edge``, ``depth`` and all the potentials from the parent list, from the
+root down, and a pivot sets those of the subtree it moved.
 
 Start. Cells are visited by ascending cost, ties in row-major order. A cell
 whose row and column are both live receives the smaller remaining mass of
@@ -35,20 +37,22 @@ outside the block has a crossed-out line, and lines never come back to life,
 so it would be skipped; and every cell of the block up to the round's last
 cost is visited and either crosses out a line or meets one already crossed
 out, so the next round's block holds only costlier cells. The walk builds the
-tree as it goes. A crossed-out line gets no more cells, so it hangs from the
-line kept, by the cell that crossed it out, which is its last. The one line
-never crossed out, the last live row, is the root. The path from source 0 up
-to it is then turned round, as a pivot re-roots a moved subtree, so that the
-tree hangs from source 0, as the anti-cycling argument below requires.
+parent list as it goes. A crossed-out line gets no more cells, so it hangs
+from the line kept, by the cell that crossed it out, which is its last. The
+one line never crossed out, the last live row, is the root. The path from
+source 0 up to it is then turned round, as a pivot re-roots a moved subtree,
+so that the tree hangs from source 0, as the anti-cycling argument below
+requires.
 
 Pivot. Pricing reads the reduced cost cost[i, j] - potential[i] -
 potential[n + j] of a block of rows at a time, computed from the potentials
 the tree keeps in step with its pivots. Each block is BLOCK_CELLS / m rows,
-rounded up, and the last one is cut at row n. The scan starts at the block
-after the one that gave the last entering cell and goes round the blocks in
-order; the first block holding a reduced cost below -OPTIMALITY_TOL gives its
-most negative cell, which enters (block search, as in LEMON's network
-simplex; Kovacs 2015). The entering cell (i, j) closes a cycle
+rounded up, and the last one is cut at row n. The scan goes round the blocks
+in order, from the first one, and keeps its place between pivots; a block
+holding a reduced cost below -OPTIMALITY_TOL gives its most negative cell,
+which enters, and the scan goes on at the next block (block search, as in
+LEMON's network simplex; Kovacs 2015). It ends after a full round of blocks
+gives no cell. The entering cell (i, j) closes a cycle
 through the tree paths from i and from j up to their apex, found by stepping
 up from whichever of the two is deeper. Flow theta moves round it: the cells
 above the sources on i's path and above the targets on j's path lose theta,
@@ -64,7 +68,8 @@ entering cell. The potentials of the moved subtree are then set from their
 new parents, down from the entering endpoint, so the entering cell's reduced
 cost becomes zero as it joins the tree. No other node's path to the root
 changes, so neither does its potential, and every potential stays equal,
-bit for bit, to the one ``derive_potentials`` would compute from the tree.
+bit for bit, to the one a fresh ``SpanningTree(cost, parent, flow)`` would
+derive.
 
 A pivot touches only the cycle (a median of 19 nodes below the apex, mean
 22, on 128 x 128 assignments; a median of 23, mean 24, on 160 x 120 weighted
@@ -142,21 +147,30 @@ class SpanningTree:
 
     ``parent``, ``flow``, ``kids``, ``depth`` and ``edge`` are Python lists,
     walked one node at a time by ``pivot``. ``potential`` is the one NumPy
-    array: the dual value of every node. ``derive_potentials`` computes
-    ``edge``, ``depth`` and ``potential`` from scratch, down from the root.
-    ``pivot`` updates ``parent``, ``flow``, ``edge`` and ``kids``, and sets the
-    depths and potentials of the moved subtree only, by the same walk from
-    the parent down. ``flows`` gives the basic cells as a dict
-    ``(i, j) -> flow`` in node order, degenerate zeros included.
+    array: the dual value of every node. The tree is given by ``parent`` and
+    ``flow`` alone, rooted at node 0; the constructor derives ``kids``, in
+    node order, and ``edge``, ``depth`` and ``potential``, down from the
+    root. ``pivot`` updates ``parent``, ``flow``, ``edge`` and ``kids``, and
+    sets the depths and potentials of the moved subtree only, by the same
+    walk from the parent down, so it leaves the potentials a fresh
+    ``SpanningTree(cost, parent, flow)`` would derive. ``flows`` gives the
+    basic cells as a dict ``(i, j) -> flow`` in node order, degenerate zeros
+    included.
     """
 
-    def __init__(self, cost: np.ndarray, parent: list, flow: list, kids: list):
+    def __init__(self, cost: np.ndarray, parent: list, flow: list):
         self.cost = cost
         self.n_sources = cost.shape[0]
         self.parent = parent
         self.flow = flow
-        self.kids = kids
-        self.derive_potentials()
+        total = len(parent)
+        self.kids = [[] for _ in range(total)]
+        for x in range(1, total):
+            self.kids[parent[x]].append(x)
+        self.edge = [0.0] + cost[self._cells()].tolist()
+        self.depth = [0] * total
+        self.potential = np.zeros(total)
+        self._hang(list(self.kids[0]))
 
     @property
     def flows(self) -> dict:
@@ -171,20 +185,12 @@ class SpanningTree:
         source = nodes < n
         return np.where(source, nodes, up), np.where(source, up, nodes) - n
 
-    def derive_potentials(self):
-        """Edge costs, depths and potentials from scratch, down from the root (potential 0)."""
-        total = len(self.parent)
-        self.edge = [0.0] + self.cost[self._cells()].tolist()
-        self.depth = [0] * total
-        self.potential = np.zeros(total)
-        self._hang(list(self.kids[0]))
-
     def _hang(self, stack: list):
         """Set depth and potential from the parent, down the subtrees of the nodes on ``stack``.
 
-        The start and every pivot set potential[x] = edge[x] -
-        potential[parent[x]] here, so a pivot leaves the same floats as
-        ``derive_potentials`` would.
+        The constructor and every pivot set potential[x] = edge[x] -
+        potential[parent[x]] here, so a pivot leaves the same floats as a
+        fresh tree would.
         """
         parent, kids, edge = self.parent, self.kids, self.edge
         depth, potential = self.depth, self.potential
@@ -268,9 +274,9 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     """Strongly feasible starting tree by the cheapest-cell rule (see the module docstring).
 
     Each crossed-out line hangs from the line kept, so the walk ends with a
-    tree rooted at the last live row; the path from source 0 up to that row
-    is turned round, which roots the tree at source 0. A node's ``kids`` are
-    in the order of their cells, and a path node gets its old parent last.
+    parent list rooted at the last live row; the path from source 0 up to
+    that row is turned round, which roots the tree at source 0. The walk
+    decides only ``parent`` and ``flow``; ``SpanningTree`` derives the rest.
 
     With zero masses the start is still a feasible basis of n + m - 1 cells,
     but not strongly feasible; ``solve`` never passes such a problem.
@@ -293,7 +299,7 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     eps[0] = 1 - total
     live = [True] * total
     rows_live, cols_live = n, m
-    parent, flow, kids = [-1] * total, [0.0] * total, [[] for _ in range(total)]
+    parent, flow = [-1] * total, [0.0] * total
     rows, cols = np.arange(n), np.arange(n, total)
     block = problem.cost.ravel()
     while rows_live and cols_live:
@@ -324,7 +330,6 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
             # the crossed-out line gets no more cells, so it hangs from the
             # line kept by this one
             parent[out], flow[out] = kept, amount
-            kids[kept].append(out)
             if not (rows_live and cols_live):
                 break
         alive = np.array(live)
@@ -336,13 +341,11 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     # from the one below it by that node's old cell
     below, x, carried = 0, parent[0], flow[0]
     while x >= 0:
-        kids[x].remove(below)
-        kids[below].append(x)
         flow[x], carried = carried, flow[x]
         # parent[x] is assigned before x moves up
         parent[x], below, x = below, x, parent[x]
     parent[0], flow[0] = -1, 0.0
-    return SpanningTree(problem.cost, parent, flow, kids)
+    return SpanningTree(problem.cost, parent, flow)
 
 
 def pivot_budget(n_sources: int, n_targets: int) -> int:
@@ -359,10 +362,11 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     dual value that keeps every reduced cost non-negative, which adds nothing
     to the dual objective.
 
-    Each pivot is priced by ``_price`` from the tree's potentials, resuming
-    at the block after the last one priced. A pivot sets the potentials it
-    changes exactly as ``derive_potentials`` would, so the solve stops as
-    soon as no block holds a reduced cost below -OPTIMALITY_TOL times 2^e.
+    Each entering cell comes from ``_entering``, which prices the blocks
+    from the tree's potentials as the pivots change them. A pivot leaves the
+    potentials a fresh ``SpanningTree(cost, parent, flow)`` would derive, so
+    the solve stops as soon as a full round of blocks holds no reduced cost
+    below -OPTIMALITY_TOL times 2^e.
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError past
@@ -371,9 +375,10 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
     ``OPTIMALITY_TOL`` and the duality-gap check of ``solution_distance`` are
     relative to the cost scale: both are multiplied by 2^e, e the
-    ``math.frexp`` exponent of the largest |cost| (``problem.tolerance``). So
-    costs of any size are solved alike, and costs scaled by a power of two
-    take the same pivots to the same answer, scaled.
+    ``math.frexp`` exponent of the largest |cost| (``problem.tolerance``),
+    and the duality-gap check also by the supply total. So costs and masses
+    of any size are solved alike, and either scaled by a power of two takes
+    the same pivots to the same answer, scaled.
     """
     live_rows, live_cols = problem.supply > 0.0, problem.demand > 0.0
     rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
@@ -391,13 +396,8 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     for f, c in zip(tree.flow[1:], tree.edge[1:]):
         objective += f * c
 
-    iterations = block = 0
-    while True:
-        entering, block = _price(cost, tree.potential, block, tol)
-        if entering is None:
-            break
-        enter_i, enter_j, gain = entering
-
+    iterations = 0
+    for enter_i, enter_j, gain in _entering(cost, tree.potential, tol):
         iterations += 1
         if iterations > pivot_limit:
             raise IterationLimitError(f"exceeded {pivot_limit} pivots on a {n}x{m} instance")
@@ -421,29 +421,32 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
 
 
-def _price(cost: np.ndarray, potential: np.ndarray, block: int, tol: float):
-    """Entering cell by block search from ``block`` on; returns ((i, j, gain) or None, next block).
+def _entering(cost: np.ndarray, potential: np.ndarray, tol: float):
+    """Entering cells by block search: yields (i, j, gain) until a full round of blocks gives none.
 
     Blocks are ceil(BLOCK_CELLS / m) rows of ``cost``, the last one cut at
-    row n. Each block, from ``block`` round to the one before it, computes
-    its reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the
-    potentials ``u`` of the sources and ``v`` of the targets. The first whose
-    most negative cell is below -tol gives that cell and its
-    reduced cost, and the block after it is where the next scan starts. When
-    none is, every cell was priced, and the scan ends where it started.
+    row n, scanned round in order from the first. Each block computes its
+    reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the potentials
+    ``u`` of the sources and ``v`` of the targets, read when the block is
+    priced, so a pivot made between two cells is seen. A block whose most
+    negative cell is below -tol yields that cell and its reduced cost, and
+    the scan goes on at the next block.
     """
     n, m = cost.shape
     rows = -(-BLOCK_CELLS // m)
     blocks = -(-n // rows)
     u, v = potential[:n], potential[n:]
-    for _ in range(blocks):
-        r0, r1 = block * rows, min(block * rows + rows, n)
+    block = idle = 0
+    while idle < blocks:
+        # NumPy cuts the last block's slices at row n
+        r0, r1 = block * rows, (block + 1) * rows
         block = (block + 1) % blocks
+        idle += 1
         reduced = cost[r0:r1] - u[r0:r1, None]
         reduced -= v
         k = int(reduced.argmin())
         gain = reduced.item(k)
         if gain < -tol:
             i, j = divmod(k, m)
-            return (r0 + i, j, gain), block
-    return None, block
+            idle = 0
+            yield r0 + i, j, gain

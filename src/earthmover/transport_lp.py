@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import as_float_array
-from .errors import DualityGapError, MassMismatchError, ShapeError
+from .errors import DualityGapError, MassMismatchError, ShapeError, ValidationError
 
 __all__ = [
     "TransportProblem",
@@ -29,13 +29,20 @@ __all__ = [
     "solution_distance",
 ]
 
+# relative to the smaller marginal total (build_problem)
 MASS_BALANCE_TOL = 1e-10
+# relative to 2^e, e the exponent of the largest |cost|, times the supply
+# total (solution_distance)
 DUALITY_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Balanced transport instance: n x m costs, unit-mass marginals."""
+    """Balanced transport instance: n x m costs, marginals >= 0 with equal positive totals.
+
+    The totals may be any positive size, not only 1. ``build_problem``
+    checks all of this and that the costs are finite.
+    """
 
     cost: np.ndarray
     supply: np.ndarray
@@ -99,40 +106,51 @@ class TransportSolution:
 
 
 def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
-    """Assemble a balanced instance: marginals >= 0 whose positive totals agree to 1e-10.
+    """Assemble a balanced instance from finite costs and flat marginals >= 0.
 
-    Raises ShapeError for a cost or marginal that is not real numbers.
+    The positive totals must agree to ``MASS_BALANCE_TOL`` times the smaller
+    of them, so marginals of any scale balance alike. Raises ShapeError for
+    a cost or marginal that is not real numbers or a marginal that is not
+    flat, ValidationError for a cost that is not finite, and
+    MassMismatchError for shapes or totals that do not match.
     """
     cost = as_float_array(cost, ShapeError, "cost")
     supply = as_float_array(supply, ShapeError, "supply")
     demand = as_float_array(demand, ShapeError, "demand")
+    if supply.ndim != 1 or demand.ndim != 1:
+        raise ShapeError(f"marginals must be flat, not of shapes {supply.shape} and {demand.shape}")
     if cost.shape != (supply.shape[0], demand.shape[0]):
         raise MassMismatchError(
             f"cost shape {cost.shape} does not match marginals "
             f"({supply.shape[0]}, {demand.shape[0]})"
         )
+    if not np.isfinite(cost).all():
+        raise ValidationError("costs must be finite")
     # a total past the float maximum is inf, which the balance check rejects
     with np.errstate(over="ignore"):
         totals = float(supply.sum()), float(demand.sum())
     if not ((supply >= 0.0).all() and (demand >= 0.0).all() and min(totals) > 0.0):
         raise MassMismatchError("marginals must be non-negative with a positive total")
-    gap = abs(totals[0] - totals[1])
-    if not gap <= MASS_BALANCE_TOL:
-        raise MassMismatchError(
-            f"marginal totals differ by {gap:.3e} (limit {MASS_BALANCE_TOL:.0e})"
-        )
+    # relative to the smaller total: with the larger one, an inf total would
+    # pass as inf * tol
+    gap, limit = abs(totals[0] - totals[1]), MASS_BALANCE_TOL * min(totals)
+    if not gap <= limit:
+        raise MassMismatchError(f"marginal totals differ by {gap:.3e} (limit {limit:.3e})")
     return TransportProblem(cost, supply, demand)
 
 
 def solution_distance(solution: TransportSolution) -> float:
     """Distance read off the dual: rhs . dual, checked against the primal objective.
 
-    The two may differ by at most ``DUALITY_GAP_TOL`` relative to the cost
-    scale (``TransportProblem.tolerance``).
+    The two may differ by at most ``DUALITY_GAP_TOL`` times 2^e times the
+    supply total, e the ``math.frexp`` exponent of the largest |cost|
+    (``TransportProblem.tolerance``): relative to the cost scale and to the
+    mass.
     """
-    value = float(solution.problem.rhs() @ solution.dual)
+    problem = solution.problem
+    value = float(problem.rhs() @ solution.dual)
     gap = abs(value - solution.objective)
-    if not gap <= solution.problem.tolerance(DUALITY_GAP_TOL):
+    if not gap <= problem.tolerance(DUALITY_GAP_TOL) * float(problem.supply.sum()):
         raise DualityGapError(
             f"dual value {value!r} and primal objective {solution.objective!r} "
             f"disagree by {gap:.3e}"

@@ -1,6 +1,5 @@
 """Transportation simplex: starting basis, pivoting, optimality certificates."""
 
-import copy
 import itertools
 
 import numpy as np
@@ -13,7 +12,7 @@ from earthmover.distributions import normalize, validate
 from earthmover.errors import IterationLimitError, SolverError
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import SpanningTree, initial_basis, pivot_budget, solve
-from earthmover.transport_lp import build_problem, solution_distance
+from earthmover.transport_lp import TransportProblem, build_problem, solution_distance
 
 
 def lp_distance(u_pts, v_pts, u_w=None, v_w=None):
@@ -34,7 +33,7 @@ def assert_certified(problem, solution):
 
 
 def full_ranking_start(problem):
-    """(parent, flow, kids) of the cheapest-cell start, walking a stable sort of every cell.
+    """(parent, flow) of the cheapest-cell start, walking a stable sort of every cell.
 
     The reference for ``initial_basis``, which ranks only the cheapest cells
     of the live block in rounds and must build the same tree.
@@ -65,16 +64,15 @@ def full_ranking_start(problem):
         adjacent[t].append((i, amount))
         if not (rows_live and cols_live):
             break
-    parent, flow, kids = [-1] * total, [0.0] * total, [[] for _ in range(total)]
+    parent, flow = [-1] * total, [0.0] * total
     stack = [0]
     while stack:
         x = stack.pop()
         for y, f in adjacent[x]:
             if y != parent[x]:
                 parent[y], flow[y] = x, f
-                kids[x].append(y)
                 stack.append(y)
-    return parent, flow, kids
+    return parent, flow
 
 
 def brute_force_assignment(costs):
@@ -157,9 +155,15 @@ class TestInitialBasis:
                 supply[rng.random(n) < 0.2] = 0.0
                 demand[rng.random(m) < 0.2] = 0.0
                 supply[0] = demand[0] = 1.0
-            problem = build_problem(cost, supply / supply.sum(), demand / demand.sum())
+            supply, demand = supply / supply.sum(), demand / demand.sum()
+            if family == "nan":
+                # build_problem rejects non-finite costs; the start must
+                # still end on a problem made directly
+                problem = TransportProblem(cost, supply, demand)
+            else:
+                problem = build_problem(cost, supply, demand)
             tree = initial_basis(problem)
-            assert (tree.parent, tree.flow, tree.kids) == full_ranking_start(problem)
+            assert (tree.parent, tree.flow) == full_ranking_start(problem)
 
 
 class TestSolve:
@@ -314,6 +318,22 @@ class TestSolve:
             assert at_scale == pytest.approx(distance * scale, rel=1e-15)
             assert at_pivots == pivots
 
+    def test_masses_of_any_scale_take_the_same_pivots(self):
+        # the balance and duality-gap checks follow the supply total: absolute
+        # ones raised E_DUALITY_GAP at x2^40 and x2^1000
+        rng = np.random.default_rng(3)
+        u = normalize(validate(rng.random((40, 2)), rng.integers(1, 6, 40)))
+        v = normalize(validate(rng.random((40, 2)), rng.integers(1, 6, 40)))
+        cost = pairwise_costs(u, v)
+
+        def solved(scale):
+            solution = solve(build_problem(cost, u.weights * scale, v.weights * scale))
+            return solution_distance(solution), solution.iterations
+
+        distance, pivots = solved(1.0)
+        for k in (-1000, -40, 20, 40, 1000):
+            assert solved(2.0**k) == (distance * 2.0**k, pivots)
+
     def test_cycle_walk_fails_fast_on_a_wrong_depth(self):
         problem = build_problem(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.75, 0.25], [0.5, 0.5])
         tree = initial_basis(problem)
@@ -443,9 +463,9 @@ class TestSolve:
         def checked_pivot(tree, i, j):
             nonlocal pivots
             theta = pivot(tree, i, j)
-            fresh = copy.copy(tree)
-            fresh.derive_potentials()
+            fresh = SpanningTree(tree.cost, tree.parent, tree.flow)
             assert np.array_equal(tree.potential, fresh.potential)
+            assert tree.depth == fresh.depth
             n = tree.n_sources
             rows, cols = tree._cells()
             basic = tree.cost[rows, cols] - tree.potential[rows] - tree.potential[n + cols]
@@ -471,25 +491,40 @@ class TestSolve:
         assert pivots >= 200
 
     def test_pricing_reaches_every_cell_from_every_block(self, monkeypatch):
-        # solve finds every entering cell with _price and stops when it
-        # finds none. 37 rows in blocks of ceil(300 / 29) = 11 make 4 blocks,
-        # the last one of 4 rows.
+        # solve takes every entering cell from _entering and stops when it
+        # yields none. 37 rows in blocks of ceil(300 / 29) = 11 make 4 blocks,
+        # the last one of 4 rows. The scan reads cost and potential as it
+        # prices each block, so cells are planted between yields.
         monkeypatch.setattr(simplex, "BLOCK_CELLS", 300)
         n, m, rows, blocks = 37, 29, 11, 4
         tol = simplex.OPTIMALITY_TOL
         rng = np.random.default_rng(90)
         potential = rng.random(n + m)
         cost = potential[:n, None] + potential[None, n:] + 0.5 + rng.random((n, m))
+        assert list(simplex._entering(cost, potential, tol)) == []
+
+        def plant(cost, i, j, gain):
+            cost[i, j] = potential[i] + potential[n + j] + gain
+
         for start in range(blocks):
-            assert simplex._price(cost, potential, start, tol) == (None, start)
-        for i, j in itertools.product(range(n), range(m)):
-            planted = cost.copy()
-            planted[i, j] = potential[i] + potential[n + j] - 0.25
-            for start in range(blocks):
-                (at_i, at_j, gain), after = simplex._price(planted, potential, start, tol)
+            for i, j in itertools.product(range(n), range(m)):
+                planted = cost.copy()
+                scan = simplex._entering(planted, potential, tol)
+                # a cell entering from the block before start puts the scan
+                # at start
+                lead = (start - 1) % blocks * rows
+                plant(planted, lead, 0, -0.5)
+                assert next(scan)[:2] == (lead, 0)
+                planted[lead, 0] = cost[lead, 0]
+                plant(planted, i, j, -0.25)
+                at_i, at_j, gain = next(scan)
                 assert (at_i, at_j) == (i, j)
                 assert gain == pytest.approx(-0.25, abs=1e-12)
-                assert after == (i // rows + 1) % blocks
+                # with a cell in every block, the scan goes on at the next one
+                after = (i // rows + 1) % blocks
+                for b in range(blocks):
+                    plant(planted, b * rows, 0, -0.5)
+                assert next(scan)[:2] == (after * rows, 0)
 
     def test_pivots_keep_the_tree_structure(self, monkeypatch):
         # the cycle walk reads depth and the subtree walk reads kids; check

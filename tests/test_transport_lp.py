@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from earthmover.api import wasserstein_distance
 from earthmover.distributions import normalize, validate
-from earthmover.errors import DualityGapError, MassMismatchError, ShapeError
+from earthmover.errors import DualityGapError, MassMismatchError, ShapeError, ValidationError
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import OPTIMALITY_TOL, solve
 from earthmover.transport_lp import (
@@ -92,6 +92,40 @@ class TestBuildProblem:
         # not as an overflow RuntimeWarning under warnings-as-errors
         with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
             build_problem(np.zeros((2, 1)), [1e308, 1e308], [1.0])
+
+    def test_small_totals_out_of_balance_rejected(self):
+        # a 50x imbalance: an absolute limit of 1e-10 let it through, and the
+        # solve left supply unmet
+        with pytest.raises(MassMismatchError, match=r"differ by 9\.800e-13 \(limit 2\.000e-24\)"):
+            build_problem(np.ones((2, 2)), [5e-13, 5e-13], [1e-14, 1e-14])
+
+    def test_totals_that_agree_to_rounding_accepted(self):
+        # integer weights scaled to a large total keep it only to rounding;
+        # an absolute limit of 1e-10 rejected such pairs at every scale
+        differ = 0
+        for total in (1e6, 1e9, 1e12):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                w_u, w_v = rng.integers(1, 6, 120), rng.integers(1, 6, 120)
+                supply, demand = w_u * (total / w_u.sum()), w_v * (total / w_v.sum())
+                problem = build_problem(rng.random((120, 120)), supply, demand)
+                differ += problem.supply.sum() != problem.demand.sum()
+        assert differ >= 10
+
+    def test_non_finite_costs_rejected(self):
+        # [[1, inf], [inf, 1]] has the optimum 1.0, yet solved to an
+        # E_DUALITY_GAP solver error
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="E_VALIDATION: costs must be finite"):
+                build_problem(np.array([[1.0, bad], [bad, 1.0]]), [0.5, 0.5], [0.5, 0.5])
+
+    def test_non_flat_marginals_rejected(self):
+        # a scalar supply raised IndexError; a (1, 2) supply was accepted
+        # against a (1, 2) cost, and solve raised IndexError
+        with pytest.raises(ShapeError, match="E_SHAPE: marginals must be flat"):
+            build_problem(np.ones((1, 1)), 1.0, [1.0])
+        with pytest.raises(ShapeError, match="E_SHAPE: marginals must be flat"):
+            build_problem(np.ones((1, 2)), [[0.5, 0.5]], [0.5, 0.5])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MassMismatchError, match="E_MASS_MISMATCH"):
