@@ -7,7 +7,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cdf1d import cdf_distance_1d, greedy_plan_1d
-from .distributions import Finiteness, as_float_array, classify_finiteness, normalize, validate
+from .distributions import (
+    Finiteness, as_float_array, classify_finiteness, merge_duplicates, normalize, validate,
+)
 from .errors import DimensionMismatchError, ShapeError
 from .geometry import pairwise_costs
 from .simplex import solve
@@ -27,7 +29,10 @@ class DistanceResult:
     states which of those cases holds explicitly, so undefined results never
     hide behind a quiet NaN. It is not an argument: it is read off
     ``distance``, so ``FINITE`` is never paired with ``inf`` or ``nan``.
-    ``plan`` is attached only when requested and the distance is finite.
+    ``plan`` is attached only when requested and the distance is finite;
+    it always indexes the input points. ``iterations`` counts the simplex
+    pivots, 0 on the CDF path; the LP is solved on distinct points, so they
+    are the pivots of that merged problem.
     """
 
     distance: float
@@ -71,14 +76,21 @@ def wasserstein_distance(
     want_plan : bool, optional
         Attach the optimal plan, only for finite distances: a ``TransportPlan``
         whose entry k moves ``mass[k]`` from u point ``rows[k]`` to v point
-        ``cols[k]``, built on the 1D path from the quantile form.
+        ``cols[k]``, indices of the input points. It is built on the 1D path
+        from the quantile form. On the LP path, each entry between merged
+        points (see Returns) is split among their copies of positive weight,
+        in input order, so the plan still has at most n + m - 1 entries and
+        a point of zero weight gets no flow.
 
     Returns
     -------
     DistanceResult
         Distance plus diagnostics. Two genuinely one-dimensional (flat)
         inputs are solved in closed form through the CDF gap integral;
-        anything else goes through the built-in transportation simplex.
+        anything else goes through the built-in transportation simplex. The
+        simplex runs on distinct points: identical rows of one side are
+        merged into one point carrying their summed weight, which changes no
+        distance, and ``iterations`` counts the pivots of that problem.
         NaN coordinates make the distance undefined (``nan``); infinite
         coordinates on exactly one side make it ``inf``, on both sides
         undefined.
@@ -128,7 +140,13 @@ def wasserstein_distance(
             distance = cdf_distance_1d(u_dist, v_dist)
             plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
         else:
-            costs = pairwise_costs(u_dist, v_dist)
+            # the LP runs on distinct points, each carrying the summed weight
+            # of its copies: the distance depends on the two measures alone,
+            # and n copies of a point would be n identical rows of the costs;
+            # merged on the scaled points, which are what the costs see
+            u_merged, u_group = merge_duplicates(u_dist)
+            v_merged, v_group = merge_duplicates(v_dist)
+            costs = pairwise_costs(u_merged, v_merged)
             # solve on costs in [0.5, 1), scaled by a power of two so that no
             # cost is rounded: the solver's tolerances follow any cost scale,
             # but its potentials are bounded only by measurement (the
@@ -136,11 +154,12 @@ def wasserstein_distance(
             # about one bit of headroom
             _, exponent = math.frexp(float(costs.max()))
             np.ldexp(costs, -exponent, out=costs)
-            problem = build_problem(costs, u_dist.weights, v_dist.weights)
+            problem = build_problem(costs, u_merged.weights, v_merged.weights)
             solution = solve(problem)
             distance = max(0.0, solution_distance(solution))
             scale += exponent
-            plan = solution.plan
+            if want_plan:
+                plan = _split_plan(solution.plan, u_dist.weights, u_group, v_dist.weights, v_group)
             iterations = solution.iterations
         # past the float maximum the distance reads inf; math.ldexp would raise
         with np.errstate(over="ignore"):
@@ -151,3 +170,55 @@ def wasserstein_distance(
     if not (want_plan and math.isfinite(distance)):
         plan = None
     return DistanceResult(distance, path, iterations, time.perf_counter_ns() - started, plan)
+
+
+def _split_plan(plan, u_weights, u_group, v_weights, v_group):
+    """The plan over the input points, from a plan over the merged points.
+
+    ``u_group`` and ``v_group`` come from ``merge_duplicates``, None for a
+    side that merged nothing. Each entry is split among the members of its
+    merged points, rows first, then columns (``_split``), so a basic plan
+    of at most G + H - 1 entries becomes one of at most n + m - 1, and a
+    point of zero weight gets no flow. Entries come in row-major order.
+    """
+    rows, cols, mass = plan.rows, plan.cols, plan.mass
+    if u_group is not None:
+        entry, rows, mass = _split(rows, mass, u_group, u_weights)
+        cols = cols[entry]
+    if v_group is not None:
+        entry, cols, mass = _split(cols, mass, v_group, v_weights)
+        rows = rows[entry]
+    order = np.lexsort((cols, rows))
+    return TransportPlan(u_weights.size, v_weights.size, rows[order], cols[order], mass[order])
+
+
+def _split(owner, mass, group, weights):
+    """North-west corner split of plan entries among the members of their merged point.
+
+    Entry k carries ``mass[k]`` at merged point ``owner[k]``; ``group[x]``
+    is the merged point of input point x. A merged point's members are its
+    input points of positive weight, in input order. The merged points are
+    laid one after another on one mass axis, in index order. Each one's
+    stretch is cut twice: at the ends of its entries, in plan order, and at
+    its members' running weights, capped at the stretch's end, which the
+    last member reaches, so it takes the remainder. Each piece between two
+    cuts lies in one entry and one member and moves its width there.
+    Returns (entry, member, mass) arrays, one element per piece.
+    """
+    order = np.argsort(owner, kind="stable")
+    owners = owner[order]
+    ends = np.concatenate([[0.0], np.cumsum(mass[order])])
+    members = np.argsort(group, kind="stable")
+    members = members[weights[members] > 0.0]
+    at = group[members]
+    # the stretch of each member's merged point, and the member's running
+    # weight within it
+    start = ends[np.searchsorted(owners, at)]
+    end = ends[np.searchsorted(owners, at, "right")]
+    running = np.concatenate([[0.0], np.cumsum(weights[members])])
+    within = running[1:] - running[np.searchsorted(at, at)]
+    last = np.append(at[1:] != at[:-1], True)
+    cuts = np.where(last, end, np.minimum(start + within, end))
+    pieces = np.unique(np.concatenate([ends, cuts]))
+    entry = order[np.searchsorted(ends[1:], pieces[1:])]
+    return entry, members[np.searchsorted(cuts, pieces[1:])], np.diff(pieces)

@@ -1,4 +1,4 @@
-"""Weighted point sets: validation, weight normalization, finiteness classification.
+"""Weighted point sets: validation, normalization, merging repeats, finiteness classification.
 
 A distribution is a set of n support points in d dimensions with non-negative
 masses. Weights are accepted as counts or masses and are normalized to the
@@ -24,6 +24,7 @@ __all__ = [
     "as_float_array",
     "validate",
     "normalize",
+    "merge_duplicates",
     "classify_finiteness",
 ]
 
@@ -117,6 +118,35 @@ def normalize(dist: DiscreteDistribution) -> DiscreteDistribution:
         return dist
     w = dist.weights / dist.weights.sum()
     return DiscreteDistribution(dist.points, _freeze(w), normalized=True)
+
+
+def merge_duplicates(dist: DiscreteDistribution):
+    """Merge identical points into one that carries their summed weight.
+
+    Returns ``(merged, group)``: ``group[x]`` is the merged point of input
+    point x, and merged points come in order of first occurrence, each at
+    its first occurrence's coordinates. Weights are summed in input order,
+    and a point of zero weight is merged like any other. With no repeated
+    point, returns ``(dist, None)``, ``dist`` itself. Rows are identical when
+    they compare equal coordinate for coordinate, so 0.0 and -0.0 merge.
+    """
+    points = dist.points
+    # a stable sort puts identical rows next to each other, each run in input order
+    order = np.lexsort(points.T)
+    ranked = points[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    if starts.all():
+        return dist, None
+    # each run's first occurrence; runs are numbered in the order of these
+    firsts = order[starts]
+    kept = np.zeros(order.size, dtype=bool)
+    kept[firsts] = True
+    group = np.empty_like(order)
+    group[order] = (np.cumsum(kept) - 1)[firsts][np.cumsum(starts) - 1]
+    weights = _freeze(np.bincount(group, weights=dist.weights))
+    return DiscreteDistribution(_freeze(points[kept]), weights, dist.normalized), group
 
 
 class Finiteness(enum.Enum):

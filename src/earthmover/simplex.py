@@ -13,9 +13,11 @@ over the nodes (the tree indices of Ahuja, Magnanti & Orlin, *Network Flows*,
 - ``depth[x]``: the number of cells between x and the root;
 - ``edge[x]``: the cost of the cell above x, 0.0 at the root.
 
-The dual values, ``potential[x]``, are one NumPy vector over the nodes:
-potential[0] = 0 and potential[x] = edge[x] - potential[parent[x]], so the
-cost of every basic cell is the sum of the potentials of its two ends. Each
+The dual values, ``potential[x]``, are a NumPy vector over the nodes, a
+view of an ``array.array`` of doubles that the tree walks read and write
+as Python floats: potential[0] = 0 and potential[x] = edge[x] -
+potential[parent[x]], so the cost of every basic cell is the sum of the
+potentials of its two ends. Each
 potential is only ever set by that expression, from the parent down, and
 never shifted: ``SpanningTree(cost, parent, flow)`` derives ``kids``,
 ``edge``, ``depth`` and all the potentials from the parent list, from the
@@ -111,6 +113,7 @@ so the per-pivot callback costs nothing extra.
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -146,16 +149,17 @@ class SpanningTree:
     """A basis of the transportation simplex in the layout of the module docstring.
 
     ``parent``, ``flow``, ``kids``, ``depth`` and ``edge`` are Python lists,
-    walked one node at a time by ``pivot``. ``potential`` is the one NumPy
-    array: the dual value of every node. The tree is given by ``parent`` and
-    ``flow`` alone, rooted at node 0; the constructor derives ``kids``, in
-    node order, and ``edge``, ``depth`` and ``potential``, down from the
-    root. ``pivot`` updates ``parent``, ``flow``, ``edge`` and ``kids``, and
-    sets the depths and potentials of the moved subtree only, by the same
-    walk from the parent down, so it leaves the potentials a fresh
-    ``SpanningTree(cost, parent, flow)`` would derive. ``flows`` gives the
-    basic cells as a dict ``(i, j) -> flow`` in node order, degenerate zeros
-    included.
+    walked one node at a time by ``pivot``. ``potential`` is a NumPy view of
+    the dual value of every node, held in an ``array.array`` that ``_hang``
+    writes, so pricing reads the potentials with no copy. The tree is given
+    by ``parent`` and ``flow`` alone, rooted at node 0; the constructor
+    derives ``kids``, in node order, and ``edge``, ``depth`` and
+    ``potential``, down from the root. ``pivot`` updates ``parent``,
+    ``flow``, ``edge`` and ``kids``, and sets the depths and potentials of
+    the moved subtree only, by the same walk from the parent down, so it
+    leaves the potentials a fresh ``SpanningTree(cost, parent, flow)`` would
+    derive. ``flows`` gives the basic cells as a dict ``(i, j) -> flow`` in
+    node order, degenerate zeros included.
     """
 
     def __init__(self, cost: np.ndarray, parent: list, flow: list):
@@ -169,7 +173,8 @@ class SpanningTree:
             self.kids[parent[x]].append(x)
         self.edge = [0.0] + cost[self._cells()].tolist()
         self.depth = [0] * total
-        self.potential = np.zeros(total)
+        self._potential = array("d", bytes(8 * total))
+        self.potential = np.frombuffer(self._potential)
         self._hang(list(self.kids[0]))
 
     @property
@@ -193,13 +198,13 @@ class SpanningTree:
         fresh tree would.
         """
         parent, kids, edge = self.parent, self.kids, self.edge
-        depth, potential = self.depth, self.potential
+        depth, potential = self.depth, self._potential
         while stack:
             x = stack.pop()
             depth[x] = depth[parent[x]] + 1
             # one node at a time: the parent's potential is set first, by
             # this same walk
-            potential[x] = edge[x] - potential.item(parent[x])
+            potential[x] = edge[x] - potential[parent[x]]
             stack += kids[x]
 
     def _cycle(self, i: int, t: int):

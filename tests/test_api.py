@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from earthmover import (
 )
 from earthmover.distributions import validate
 from earthmover.geometry import pairwise_costs
-from earthmover.simplex import OPTIMALITY_TOL
+from earthmover.simplex import OPTIMALITY_TOL, pivot_budget
 
 
 class TestReferenceValues:
@@ -522,3 +523,88 @@ class TestInvarianceProperties:
         base = wasserstein_distance(u, v, u_w, v_w).distance
         turned = wasserstein_distance(u @ turn.T, v @ turn.T, u_w, v_w).distance
         assert turned == pytest.approx(base, **slack(False, u, v))
+
+
+def assert_plan_of_the_input(result, u, v, u_w, v_w):
+    """The plan indexes the input points, meets both normalized marginals and is basic."""
+    plan = result.plan
+    n, m = len(u_w), len(v_w)
+    assert (plan.n_sources, plan.n_targets) == (n, m)
+    assert plan.mass.size <= n + m - 1
+    assert (plan.mass > 0).all()
+    # zero-weight copies of a point get no flow
+    assert (u_w[plan.rows] > 0).all() and (v_w[plan.cols] > 0).all()
+    np.testing.assert_allclose(plan.source_marginals(), u_w / u_w.sum(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.target_marginals(), v_w / v_w.sum(), rtol=0, atol=1e-12)
+    costs = pairwise_costs(validate(u), validate(v))
+    assert plan.cost(costs) == pytest.approx(result.distance, **close)
+
+
+class TestRepeatedPoints:
+    """The LP path solves on distinct points and splits the plan back over the input."""
+
+    def test_input_without_repeats_is_solved_as_before(self):
+        # pinned before repeated points were merged: an input with no
+        # repeated row reaches the simplex as the same problem
+        rng = np.random.default_rng(3)
+        result = wasserstein_distance(rng.random((40, 2)), rng.random((40, 2)), want_plan=True)
+        assert result.distance.hex() == "0x1.f4f67faed5164p-4"
+        assert result.iterations == 45
+        assert result.plan.rows.tolist() == list(range(40))
+        assert result.plan.cols.tolist() == [
+            33, 6, 36, 9, 28, 14, 10, 37, 25, 23, 29, 16, 15, 19, 12, 31, 18, 3, 30, 26,
+            20, 39, 1, 38, 11, 17, 5, 22, 27, 8, 24, 7, 32, 4, 2, 35, 21, 0, 34, 13,
+        ]
+        assert (result.plan.mass == 1 / 40).all()
+
+    @both_paths
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_splitting_a_weight_over_copies(self, flat, data):
+        (u, u_w), (v, v_w) = data.draw(weighted_pair(flat))
+        i = data.draw(st.integers(0, len(u) - 1))
+        parts = np.array(data.draw(st.lists(st.floats(0, 1), min_size=2, max_size=4)))
+        parts[0] += 1.0  # some copy keeps a positive share
+        shares = u_w[i] * parts / parts.sum()
+        copies = np.concatenate([u, np.repeat(u[i : i + 1], parts.size - 1, axis=0)])
+        copy_w = np.concatenate([u_w, shares[1:]])
+        copy_w[i] = shares[0]
+        p = np.array(data.draw(st.permutations(range(len(copies)))))
+        base = wasserstein_distance(u, v, u_w, v_w).distance
+        split = wasserstein_distance(copies[p], v, copy_w[p], v_w, want_plan=True)
+        assert split.distance == pytest.approx(base, **slack(flat, u, v))
+        if not flat:
+            assert_plan_of_the_input(split, copies[p], v, copy_w[p], v_w)
+
+    def test_plans_on_integer_grids_index_the_input(self):
+        # few grid cells, so most points repeat, and weights that include zero
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            d, side = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            u, v = rng.integers(0, side, (n, d)) * 1.0, rng.integers(0, side, (m, d)) * 1.0
+            u_w, v_w = rng.integers(0, 4, n) * 1.0, rng.integers(0, 4, m) * 1.0
+            u_w[rng.integers(n)] += 1.0
+            v_w[rng.integers(m)] += 1.0
+            result = wasserstein_distance(u, v, u_w, v_w, want_plan=True)
+            assert result.path == "lp"
+            assert_plan_of_the_input(result, u, v, u_w, v_w)
+
+    def test_many_copies_of_few_points_solve_small(self):
+        # 3000 rows on 3 points against 2500 on 2: unmerged, the cost matrix
+        # alone would take 60 MB
+        u = np.tile([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], (1000, 1))
+        v = np.tile([[1.0, 1.0], [3.0, 0.0]], (1250, 1))
+        u_w = np.arange(3000) % 4 * 1.0
+        v_w = np.ones(2500)
+        tracemalloc.start()
+        try:
+            result = wasserstein_distance(u, v, u_w, v_w, want_plan=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert result.iterations <= pivot_budget(3, 2)
+        assert_plan_of_the_input(result, u, v, u_w, v_w)
+        merged = wasserstein_distance(u[:3], v[:2], np.bincount(np.arange(3000) % 3, u_w), [1.0, 1.0])
+        assert result.distance == pytest.approx(merged.distance, **close)

@@ -79,6 +79,27 @@ class TestSuccess:
         assert all(type(i) is int and type(j) is int and type(mass) is float for i, j, mass in rows)
         assert sum(mass for _, _, mass in rows) == pytest.approx(1.0, abs=1e-12)
 
+    def test_plan_file_with_repeated_rows_indexes_the_input(self, capsys, tmp_path):
+        # the LP solves on the 2 distinct u points and 2 distinct v points;
+        # the plan file still names input rows, and row 2 has no weight
+        u = write_csv(tmp_path / "u.csv", "0,0\n1,0\n0,0\n0,0\n1,0\n")
+        v = write_csv(tmp_path / "v.csv", "0,1\n0,1\n1,1\n")
+        u_w = write_csv(tmp_path / "uw.csv", "1\n2\n0\n3\n2\n")
+        plan_path = tmp_path / "plan.json"
+        code, out, _ = run(capsys, "--u", u, "--v", v, "--u-weights", u_w, "--plan", str(plan_path))
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["path"] == "lp"
+        assert payload["distance"] == pytest.approx((5 + math.sqrt(2)) / 6, rel=1e-12)
+        rows = json.loads(plan_path.read_text())
+        assert rows == payload["plan"]
+        sent, received = np.zeros(5), np.zeros(3)
+        for i, j, mass in rows:
+            sent[i] += mass
+            received[j] += mass
+        np.testing.assert_allclose(sent, np.array([1, 2, 0, 3, 2]) / 8, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(received, [1 / 3] * 3, rtol=0, atol=1e-12)
+
     def test_one_dimensional_weighted_input(self, capsys, tmp_path):
         u = write_csv(tmp_path / "u.csv", "0\n1\n")
         v = write_csv(tmp_path / "v.csv", "0\n1\n")

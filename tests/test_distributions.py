@@ -9,6 +9,7 @@ from earthmover.distributions import (
     Finiteness,
     as_float_array,
     classify_finiteness,
+    merge_duplicates,
     normalize,
     validate,
 )
@@ -142,6 +143,35 @@ class TestNormalize:
             n = int(rng.integers(1, 20))
             dist = normalize(validate(rng.normal(size=n), rng.random(n) * 10 + 0.01))
             assert abs(dist.weights.sum() - 1.0) <= 1e-12
+
+
+class TestMergeDuplicates:
+    def test_no_repeats_returns_the_input_itself(self):
+        dist = validate([[0, 1], [1, 0], [0, 0]], [1, 2, 3])
+        merged, group = merge_duplicates(dist)
+        assert merged is dist
+        assert group is None
+
+    def test_groups_in_order_of_first_occurrence(self):
+        dist = validate([[2, 0], [0, 1], [2, 0], [-0.0, 1], [5, 5], [0, 1]], [1, 2, 0, 4, 8, 16])
+        merged, group = merge_duplicates(dist)
+        assert group.tolist() == [0, 1, 0, 1, 2, 1]
+        np.testing.assert_array_equal(merged.points, [[2, 0], [0, 1], [5, 5]])
+        np.testing.assert_array_equal(merged.weights, [1, 22, 8])
+        assert not merged.points.flags.writeable and not merged.weights.flags.writeable
+
+    def test_weights_summed_in_input_order(self):
+        # (0.1 + 0.2) + 0.3 is 0.6000000000000001, (0.3 + 0.2) + 0.1 is 0.6
+        merged, _ = merge_duplicates(validate([[1.0], [1.0], [2.0], [1.0]], [0.1, 0.2, 0.4, 0.3]))
+        assert merged.weights.tolist() == [0.6000000000000001, 0.4]
+        merged, _ = merge_duplicates(validate([[1.0], [1.0], [2.0], [1.0]], [0.3, 0.2, 0.4, 0.1]))
+        assert merged.weights.tolist() == [0.6, 0.4]
+
+    def test_every_row_the_same(self):
+        merged, group = merge_duplicates(validate(np.ones((5, 3))))
+        assert merged.points.shape == (1, 3)
+        assert merged.weights.tolist() == [5.0]
+        assert group.tolist() == [0] * 5
 
 
 class TestClassifyFiniteness:
