@@ -132,7 +132,7 @@ def wasserstein_distance(
         # a cost, or in 1D a merged gap, is at most 2 sqrt(d) <= 2^h times it,
         # so none overflows, small coordinates keep all the range below, and
         # every power-of-two rescaling of the input gives the same problem
-        _, top = math.frexp(max(np.abs(d.points).max() for d in (u_dist, v_dist)))
+        _, top = math.frexp(max(max(d.points.max(), -d.points.min()) for d in (u_dist, v_dist)))
         scale = top - 1022 + math.ceil(math.log2(u_dist.dim) / 2)
         u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -scale))
         v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -scale))

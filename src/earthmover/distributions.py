@@ -164,12 +164,17 @@ def classify_finiteness(u: DiscreteDistribution, v: DiscreteDistribution) -> Fin
     exactly one side force an infinite distance; on both sides the result is
     sign-dependent and therefore undefined as well.
     """
-    if np.isnan(u.points).any() or np.isnan(v.points).any():
-        return Finiteness.UNDEFINED
-    u_inf = bool(np.isinf(u.points).any())
-    v_inf = bool(np.isinf(v.points).any())
-    if u_inf and v_inf:
+    u_nan, u_inf = _special_values(u.points)
+    v_nan, v_inf = _special_values(v.points)
+    if u_nan or v_nan or (u_inf and v_inf):
         return Finiteness.UNDEFINED
     if u_inf or v_inf:
         return Finiteness.INFINITE
     return Finiteness.FINITE
+
+
+def _special_values(points: np.ndarray):
+    """(has a NaN, has an infinity): one pass over all-finite points, three otherwise."""
+    if np.isfinite(points).all():
+        return False, False
+    return bool(np.isnan(points).any()), bool(np.isinf(points).any())

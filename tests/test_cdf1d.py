@@ -1,12 +1,15 @@
 """One-dimensional path: CDF gap integral and the greedy plan oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
-from earthmover.cdf1d import cdf_distance_1d, greedy_plan_1d, merged_support
+from earthmover import cdf1d
+from earthmover.cdf1d import MergedSupport, cdf_distance_1d, greedy_plan_1d, merged_support
 from earthmover.distributions import normalize, validate
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import solve
@@ -19,6 +22,22 @@ def dist1d(points, weights=None):
 
 def pairs(plan):
     return list(zip(plan.rows.tolist(), plan.cols.tolist()))
+
+
+def unique_merged_support(u, v):
+    """Reference merged support: ``np.unique`` of both sides, each CDF read by ``searchsorted``.
+
+    Each side is sorted with the default kind, as ``merged_support`` sorts
+    it, so the weights of a tie are summed in the same order.
+    """
+    grid = np.unique(np.concatenate([u.points[:, 0], v.points[:, 0]]))
+
+    def step_cdf(dist):
+        order = np.argsort(dist.points[:, 0])
+        cum = np.concatenate([[0.0], np.cumsum(dist.weights[order])])
+        return cum[np.searchsorted(dist.points[order, 0], grid, side="right")] / cum[-1]
+
+    return MergedSupport(grid, step_cdf(u), step_cdf(v))
 
 
 def loop_plan_1d(u, v):
@@ -123,6 +142,51 @@ class TestMergedSupport:
                 assert np.all(np.diff(cdf) >= 0)
                 assert cdf[0] >= 0
                 assert abs(cdf[-1] - 1.0) <= 1e-12
+
+    def test_matches_the_unique_and_searchsorted_oracle_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(73)
+
+        def side(k, grid):
+            points = np.round(rng.normal(size=k) / grid) * grid
+            # ties between 0.0 and -0.0, within a side and across the two
+            points[rng.random(k) < 0.2] = rng.choice([0.0, -0.0])
+            weights = rng.random(k) * (rng.random(k) >= 0.2)
+            weights[rng.integers(k)] += 1.0  # a positive total
+            return dist1d(points, weights)
+
+        cases = []
+        for trial in range(300):
+            grid = (1e-3, 0.25)[trial % 2]
+            u = side(int(rng.integers(1, 4) if trial % 10 == 0 else rng.integers(1, 300)), grid)
+            v = side(int(rng.integers(1, 300)), grid)
+            cases += [(u, v), (v, u)]
+        cases += [(u, u) for u, _ in cases[:100]]
+        cases += [(dist1d([2.5], [3.0]), dist1d([-1.0, 2.5], [1.0, 0.0]))]
+        for u, v in cases:
+            got, want = merged_support(u, v), unique_merged_support(u, v)
+            for name in ("positions", "u_cdf", "v_cdf"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            distance = cdf_distance_1d(u, v)
+            with monkeypatch.context() as patch:
+                patch.setattr(cdf1d, "merged_support", unique_merged_support)
+                assert distance == cdf_distance_1d(u, v)
+            if u is v:
+                assert distance == 0.0
+
+    def test_peak_memory_per_input_point(self):
+        # 29.0 bytes a point measured (26.9 for the np.unique and searchsorted
+        # build); one more 8-byte temporary per point at the peak passes 32
+        rng = np.random.default_rng(7)
+        n, m = 2**16, 3 * 2**14
+        u = dist1d(rng.standard_normal(n), rng.random(n))
+        v = dist1d(np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m))
+        tracemalloc.start()
+        try:
+            merged_support(u, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (n + m)
 
 
 class TestGreedyPlan:
