@@ -54,36 +54,42 @@ in order, from the first one, and keeps its place between pivots; a block
 holding a reduced cost below -OPTIMALITY_TOL gives its most negative cell,
 which enters, and the scan goes on at the next block (block search, as in
 LEMON's network simplex; Kovacs 2015). It ends after a full round of blocks
-gives no cell. The entering cell (i, j) closes a cycle
-through the tree paths from i and from j up to their apex, found by stepping
-up from whichever of the two is deeper. Flow theta moves round it: the cells
-above the sources on i's path and above the targets on j's path lose theta,
-the others gain it. Among the cells that reach zero, the leaving cell is the
-last one met when the cycle is walked from the apex down to i, across (i, j)
-and up from j to the apex: the blocking cell on j's path nearest the apex,
-or if there is none, the blocking cell on i's path nearest i. The subtree
-cut off below the leaving cell is re-rooted at the entering endpoint:
-parents, flows and edge costs shift one step along the path between them,
-each path node moves from its old parent's ``kids`` to the ``kids`` of the
-node below it, and the entering endpoint hangs from the other one by the
-entering cell. The potentials of the moved subtree are then set from their
-new parents, down from the entering endpoint, so the entering cell's reduced
-cost becomes zero as it joins the tree. No other node's path to the root
-changes, so neither does its potential, and every potential stays equal,
-bit for bit, to the one a fresh ``SpanningTree(cost, parent, flow)`` would
-derive.
+gives no cell. The entering cell (i, j) closes a cycle through the tree
+paths from i and from j up to their apex. Flow theta moves round it: the
+cells above the sources on i's path and above the targets on j's path lose
+theta, the others gain it. Among the cells that reach zero, the leaving cell
+is the last one met when the cycle is walked from the apex down to i, across
+(i, j) and up from j to the apex: the blocking cell on j's path nearest the
+apex, or if there is none, the blocking cell on i's path nearest i. One walk
+finds both the apex and that cell. It steps up from whichever of i and j is
+deeper, from i when they are equally deep, and keeps on each side the
+smallest flow among the cells losing theta: on i's side the first one met
+(strictly smaller), on j's side the last one met (smaller or equal), so that
+j's side wins a tie between the two. A second walk shifts theta round the
+cycle only when theta is positive. The subtree cut off below the leaving
+cell is re-rooted at the entering endpoint: going up from it to the leaving
+cell, parents, flows and edge costs shift one step along the path, each path
+node moves from its old parent's ``kids`` to the ``kids`` of the node below
+it, and the entering endpoint hangs from the other one by the entering cell.
+The potentials of the moved subtree are then set from their new parents,
+down from the entering endpoint, so the entering cell's reduced cost becomes
+zero as it joins the tree. No other node's path to the root changes, so
+neither does its potential, and every potential stays equal, bit for bit, to
+the one a fresh ``SpanningTree(cost, parent, flow)`` would derive.
 
-A pivot touches only the cycle (a median of 19 nodes below the apex, mean
-22, on 128 x 128 assignments; a median of 23, mean 24, on 160 x 120 weighted
-points of an 8 x 8 grid) and the moved subtree (a median of 2 nodes, mean 20,
-on the assignments; a median of 57, mean 79, on the weighted points), so
-the tree update is scalar walks over the lists, as in LEMON's network
-simplex: up the cycle by depth; the ratio test, flow shifts and re-rooting
-over the cycle or path; and one walk of the moved subtree down ``kids``,
-which sets its depths and potentials (no other depth or potential
-changes). That walk stays scalar however large the subtree, because each
-potential is computed from its parent's. NumPy does only the pricing, one
-block of at most about BLOCK_CELLS cells at a time.
+A pivot touches only the cycle and the moved subtree, measured per pivot on
+the benchmark's seed-1 pools: on 128 x 128 assignments, a cycle of a median
+of 21 nodes below the apex (mean 23) and a moved subtree of a median of 2
+nodes (mean 19); on the weighted points of an 8 x 8 grid, which reach the
+solver merged into 48 to 62 distinct points a side, a median of 9 (mean 9.5)
+and of 19 (mean 30). So the tree update is scalar walks over the lists, as
+in LEMON's network simplex: the walk up the cycle by depth, which also makes
+the ratio test; the flow shift over the cycle and the re-rooting over the
+path; and one walk of the moved subtree down ``kids``, which sets its depths
+and potentials (no other depth or potential changes). That walk stays scalar
+however large the subtree, because each potential is computed from its
+parent's. NumPy does only the pricing, one block of at most about
+BLOCK_CELLS cells at a time.
 
 Anti-cycling. Perturb the masses: every source but the root gets epsilon
 more supply, every target epsilon less demand, and the root (n + m - 1)
@@ -207,71 +213,67 @@ class SpanningTree:
             potential[x] = edge[x] - potential[parent[x]]
             stack += kids[x]
 
-    def _cycle(self, i: int, t: int):
-        """Nodes from i and from t up to, not including, their apex; each starts at its endpoint.
-
-        Each step goes up from the deeper of the two, from i when they are
-        equally deep, so the two walks meet at the apex.
-        """
-        parent, depth = self.parent, self.depth
-        side_i, side_t = [], []
-        # a cycle has at most one node per tree node: more steps mean a wrong
-        # depth led a walk past the root (parent -1 indexes the last node)
-        for _ in range(len(parent)):
-            if i == t:
-                return side_i, side_t
-            if depth[i] >= depth[t]:
-                side_i.append(i)
-                i = parent[i]
-            else:
-                side_t.append(t)
-                t = parent[t]
-        raise SolverError("the cycle walk passed the root: the tree's depths are wrong")
-
     def pivot(self, i: int, j: int) -> float:
         """Bring cell (i, j), of negative reduced cost, into the basis; returns theta.
 
-        The moved subtree's potentials are set from their new parents, so
-        the reduced cost of (i, j) becomes zero.
+        One walk up from i and from n + j, by depth, finds their apex and the
+        leaving cell; the moved subtree's potentials are then set from their
+        new parents, so the reduced cost of (i, j) becomes zero.
         """
         n = self.n_sources
-        parent, flow, kids, edge = self.parent, self.flow, self.kids, self.edge
-        side_i, side_t = self._cycle(i, n + j)
-        minus_t = [flow[x] for x in side_t[0::2]]
-        minus_i = [flow[x] for x in side_i[0::2]]
-        theta_t = min(minus_t, default=math.inf)
-        theta = min(theta_t, min(minus_i, default=math.inf))
-
-        if theta_t == theta:
-            # leaving cell on j's path, the blocking one nearest the apex:
-            # the subtree holding j hangs from i
-            cut = 2 * (len(minus_t) - minus_t[::-1].index(theta)) - 1
-            path, new_parent = side_t[:cut], i
+        parent, flow, kids, edge, depth = self.parent, self.flow, self.kids, self.edge, self.depth
+        a, b = i, n + j
+        theta_i = theta_t = math.inf
+        # a cycle has at most one node per tree node: more steps mean a wrong
+        # depth led a walk past the root (parent -1 indexes the last node)
+        for _ in range(len(parent)):
+            if a == b:
+                break
+            if depth[a] >= depth[b]:
+                # i's side loses flow above sources: the first minimum is the
+                # blocking cell nearest i
+                if a < n and flow[a] < theta_i:
+                    theta_i, leave_i = flow[a], a
+                a = parent[a]
+            else:
+                # j's side loses flow above targets: the last minimum is the
+                # blocking cell nearest the apex
+                if b >= n and flow[b] <= theta_t:
+                    theta_t, leave_t = flow[b], b
+                b = parent[b]
         else:
-            cut = 2 * minus_i.index(theta) + 1
-            path, new_parent = side_i[:cut], n + j
-        if theta > 0.0:
-            for side in (side_i, side_t):
-                for x in side[0::2]:
-                    flow[x] -= theta
-                for x in side[1::2]:
-                    flow[x] += theta
+            raise SolverError("the cycle walk passed the root: the tree's depths are wrong")
 
-        # cut the cell above path[-1]; going up the path, each node hangs
-        # from the one below it by that node's old cell
-        kids[parent[path[-1]]].remove(path[-1])
-        carried, carried_cost = flow[path[0]], edge[path[0]]
-        for below, x in zip(path, path[1:]):
+        if theta_t <= theta_i:
+            # j's side wins a tie: the subtree holding j hangs from i
+            theta, leave, start, new_parent = theta_t, leave_t, n + j, i
+        else:
+            theta, leave, start, new_parent = theta_i, leave_i, i, n + j
+        if theta > 0.0:
+            # a source's cell on i's path loses theta, a target's gains it;
+            # the other way round on j's path (x + -theta is x - theta)
+            for x, step in ((i, -theta), (n + j, theta)):
+                while x != a:
+                    flow[x] += step if x < n else -step
+                    x = parent[x]
+
+        # cut the cell above the leaving node; going up from start to it, each
+        # node hangs from the one below it by that node's old cell
+        kids[parent[leave]].remove(leave)
+        below, x = start, parent[start]
+        carried, carried_cost = flow[start], edge[start]
+        while below != leave:
             kids[x].remove(below)
             kids[below].append(x)
-            parent[x] = below
             flow[x], carried = carried, flow[x]
             edge[x], carried_cost = carried_cost, edge[x]
-        parent[path[0]] = new_parent
-        flow[path[0]] = theta
-        edge[path[0]] = self.cost.item(i, j)
-        kids[new_parent].append(path[0])
-        self._hang([path[0]])
+            # parent[x] is read before x moves up
+            parent[x], below, x = below, x, parent[x]
+        parent[start] = new_parent
+        flow[start] = theta
+        edge[start] = self.cost.item(i, j)
+        kids[new_parent].append(start)
+        self._hang([start])
         return theta
 
 
@@ -380,10 +382,12 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
     ``OPTIMALITY_TOL`` and the duality-gap check of ``solution_distance`` are
     relative to the cost scale: both are multiplied by 2^e, e the
-    ``math.frexp`` exponent of the largest |cost| (``problem.tolerance``),
+    ``math.frexp`` exponent of the largest |cost| (``TransportProblem.tolerance``),
     and the duality-gap check also by the supply total. So costs and masses
     of any size are solved alike, and either scaled by a power of two takes
-    the same pivots to the same answer, scaled.
+    the same pivots to the same answer, scaled. ``OPTIMALITY_TOL`` takes e
+    from the cells of positive mass only, the ones pivoted on, so a far point
+    of zero mass does not loosen the stopping test.
     """
     live_rows, live_cols = problem.supply > 0.0, problem.demand > 0.0
     rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
@@ -392,9 +396,10 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
         cost = problem.cost
     else:
         cost = problem.cost[np.ix_(rows, cols)]
-    tree = initial_basis(TransportProblem(cost, problem.supply[rows], problem.demand[cols]))
+    live = TransportProblem(cost, problem.supply[rows], problem.demand[cols])
+    tree = initial_basis(live)
     pivot_limit = pivot_budget(n, m)
-    tol = problem.tolerance(OPTIMALITY_TOL)
+    tol = live.tolerance(OPTIMALITY_TOL)
     # the start's cost, added up cell by cell in node order: np.dot may pair
     # the terms differently, and from Python 3.12 builtin sum compensates
     objective = 0.0
@@ -432,22 +437,23 @@ def _entering(cost: np.ndarray, potential: np.ndarray, tol: float):
     Blocks are ceil(BLOCK_CELLS / m) rows of ``cost``, the last one cut at
     row n, scanned round in order from the first. Each block computes its
     reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the potentials
-    ``u`` of the sources and ``v`` of the targets, read when the block is
-    priced, so a pivot made between two cells is seen. A block whose most
+    ``u`` of the sources and ``v`` of the targets. The slices are views,
+    taken once when the scan starts, so each block reads the potentials as
+    they stand when it is priced, and a pivot made between two cells is
+    seen. A block whose most
     negative cell is below -tol yields that cell and its reduced cost, and
     the scan goes on at the next block.
     """
     n, m = cost.shape
     rows = -(-BLOCK_CELLS // m)
-    blocks = -(-n // rows)
     u, v = potential[:n], potential[n:]
+    blocks = [(r0, cost[r0:r0 + rows], u[r0:r0 + rows, None]) for r0 in range(0, n, rows)]
     block = idle = 0
-    while idle < blocks:
-        # NumPy cuts the last block's slices at row n
-        r0, r1 = block * rows, (block + 1) * rows
-        block = (block + 1) % blocks
+    while idle < len(blocks):
+        r0, block_cost, block_u = blocks[block]
+        block = (block + 1) % len(blocks)
         idle += 1
-        reduced = cost[r0:r1] - u[r0:r1, None]
+        reduced = block_cost - block_u
         reduced -= v
         k = int(reduced.argmin())
         gain = reduced.item(k)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import wasserstein_distance_nd
 
 import earthmover
 from earthmover import (
@@ -351,6 +352,18 @@ class TestDistanceProperties:
                 w_v,
             ).distance
             assert abs(base - padded) <= 1e-10
+
+    @pytest.mark.parametrize("far", [1e12, 1e14, 1e300, 2.0**900], ids=["1e12", "1e14", "1e300", "2^900"])
+    def test_a_far_zero_weight_point_leaves_the_distance(self, far):
+        # the stopping rule took its tolerance from every cost, the far
+        # point's too, and so read 3.8% high here (0 pivots from 1e14 up)
+        rng = np.random.default_rng(3)
+        pts_u, pts_v = rng.random((30, 2)), rng.random((30, 2))
+        padded = wasserstein_distance(
+            np.vstack([pts_u, [[far, 0.0]]]), pts_v, np.append(np.ones(30), 0.0)
+        )
+        expected = wasserstein_distance_nd(pts_u, pts_v)
+        assert padded.distance == pytest.approx(expected, **slack(False, pts_u, pts_v))
 
     def test_integer_weights_equal_repetition(self):
         rng = np.random.default_rng(41)

@@ -453,6 +453,63 @@ class TestSolve:
             solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
         assert checked.count(0.0) >= 50  # degenerate pivots were exercised
 
+    def test_leaving_cell_is_the_perturbed_ratio_test_minimum(self):
+        # the anti-cycling rule of the module docstring, from scratch: with s
+        # the number of nodes in the subtree of a cell's lower end x, the
+        # cell carries f + s epsilon when x is a source and f - s epsilon when
+        # x is a target, and the cell that leaves is the one losing flow round
+        # the cycle whose perturbed flow is the unique smallest
+        rng = np.random.default_rng(94)
+        entered = tied = across = 0
+        for trial in range(40):
+            # points on an integer grid, with equal weights (flows 0 or 1/n,
+            # so zeros tie on i's side) or integer masses of one total (flows
+            # are integers, so the two sides tie too)
+            n = m = int(rng.integers(4, 20))
+            pts_u = rng.integers(0, 6, (n, 2)).astype(float)
+            if trial % 2:
+                supply = rng.integers(1, 4, n).astype(float)
+                m = int(rng.integers(4, supply.sum() + 1))
+                demand = 1.0 + rng.multinomial(supply.sum() - m, np.full(m, 1 / m))
+            else:
+                supply, demand = np.full(n, 1 / n), np.full(m, 1 / n)
+            pts_v = rng.integers(0, 6, (m, 2)).astype(float)
+            problem = build_problem(pairwise_costs(validate(pts_u), validate(pts_v)), supply, demand)
+            cost, tol = problem.cost, problem.tolerance(simplex.OPTIMALITY_TOL)
+            tree = initial_basis(problem)
+            scan = simplex._entering(cost, tree.potential, tol)
+            for _, (i, j, _) in zip(range(trial % 5), scan):
+                tree.pivot(i, j)
+            parent = tree.parent
+            ancestors = []  # each node and the nodes above it, up to the root
+            for x in range(n + m):
+                ancestors.append([x])
+                while parent[ancestors[x][-1]] >= 0:
+                    ancestors[x].append(parent[ancestors[x][-1]])
+            size = [sum(x in up for up in ancestors) for x in range(n + m)]
+            reduced = cost - tree.potential[:n, None] - tree.potential[None, n:]
+            for i, j in zip(*np.nonzero(reduced < -tol)):
+                i, j = int(i), int(j)
+                up_i, up_t = ancestors[i], ancestors[n + j]
+                apex = next(x for x in up_i if x in up_t)
+                losing = [x for x in up_i[: up_i.index(apex)] if x < n]
+                losing += [x for x in up_t[: up_t.index(apex)] if x >= n]
+                perturbed = {x: (tree.flow[x], size[x] if x < n else -size[x]) for x in losing}
+                leaving = min(perturbed, key=perturbed.get)
+                assert list(perturbed.values()).count(perturbed[leaving]) == 1
+                theta = perturbed[leaving][0]
+                at_theta = [x for x in losing if tree.flow[x] == theta]
+                tied += len(at_theta) > 1
+                across += len({x < n for x in at_theta}) > 1
+                row, col = sorted([leaving, parent[leaving]])
+                after = SpanningTree(cost, list(parent), list(tree.flow))
+                assert after.pivot(i, j) == theta
+                assert set(tree.flows) - set(after.flows) == {(row, col - n)}
+                assert set(after.flows) - set(tree.flows) == {(i, j)}
+                entered += 1
+        # ties on one side and across the two sides were both exercised
+        assert entered >= 400 and tied >= 200 and across >= 10
+
     def test_pivots_keep_the_potentials_in_step_with_the_tree(self, monkeypatch):
         # pricing reads tree.potential alone and solve stops on its word, so
         # each pivot must leave it bit for bit equal to what is derived
