@@ -12,11 +12,12 @@ fixed:
 Run from the root of a source checkout; the library is imported from
 ``src`` and the benchmark pools from ``bench/workloads.py``, read-only:
 
-    python tools/fingerprint.py [--verbose]
+    python tools/fingerprint.py
 
-Two checkouts that print the same hash computed the same distances, pivots
-and plans. ``--verbose`` also prints one line per pool, with its own hash,
-so a difference can be traced to its pool. It takes a few seconds.
+It prints one line per pool with that pool's hash, so a difference can be
+traced to its pool, and then the ``fingerprint`` line, a hash over all of
+them. Two checkouts that print the same fingerprint computed the same
+distances, pivots and plans. It takes a few seconds.
 """
 
 import hashlib
@@ -57,7 +58,7 @@ def pool_digest(instances) -> str:
     return digest.hexdigest()
 
 
-def main(argv: list) -> int:
+def main() -> int:
     pools = [(f"{name} seed {seed} x{count}", make_instances(name, seed, count))
              for name, seed, count in POOLS]
     pools.append(("uniform 512x512 default_rng(5)", uniform_512()))
@@ -65,11 +66,10 @@ def main(argv: list) -> int:
     for label, instances in pools:
         digest = pool_digest(instances)
         total.update(digest.encode())
-        if "--verbose" in argv:
-            print(f"{digest}  {label}")
+        print(f"{digest}  {label}")
     print(f"{total.hexdigest()}  fingerprint")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
