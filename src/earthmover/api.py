@@ -31,8 +31,9 @@ class DistanceResult:
     ``distance``, so ``FINITE`` is never paired with ``inf`` or ``nan``.
     ``plan`` is attached only when requested and the distance is finite;
     it always indexes the input points. ``iterations`` counts the simplex
-    pivots, 0 on the CDF path; the LP is solved on distinct points, so they
-    are the pivots of that merged problem.
+    pivots, 0 on the CDF path; the LP solves only the residual problem
+    between distinct points (see ``wasserstein_distance``), so they are the
+    pivots of that problem, and 0 when it has nothing to move.
     """
 
     distance: float
@@ -77,10 +78,11 @@ def wasserstein_distance(
         Attach the optimal plan, only for finite distances: a ``TransportPlan``
         whose entry k moves ``mass[k]`` from u point ``rows[k]`` to v point
         ``cols[k]``, indices of the input points. It is built on the 1D path
-        from the quantile form. On the LP path, each entry between merged
-        points (see Returns) is split among their copies of positive weight,
-        in input order, so the plan still has at most n + m - 1 entries and
-        a point of zero weight gets no flow.
+        from the quantile form. On the LP path, the residual plan (see
+        Returns) plus one entry per point that both sides hold, which keeps
+        the shared mass in place, is split among the points' copies of
+        positive weight, in input order, so the plan still has at most
+        n + m - 1 entries and a point of zero weight gets no flow.
 
     Returns
     -------
@@ -88,9 +90,14 @@ def wasserstein_distance(
         Distance plus diagnostics. Two genuinely one-dimensional (flat)
         inputs are solved in closed form through the CDF gap integral;
         anything else goes through the built-in transportation simplex. The
-        simplex runs on distinct points: identical rows of one side are
-        merged into one point carrying their summed weight, which changes no
-        distance, and ``iterations`` counts the pivots of that problem.
+        simplex solves only the residual problem: identical rows of both
+        sides are merged into one point carrying u's weight less v's, the
+        mass both sides hold there stays in place, which changes no distance
+        (Kantorovich-Rubinstein), and the points of positive net mass send
+        to those of negative net mass. ``iterations`` counts the pivots of
+        that problem. When no point has positive net mass, or none negative
+        (u and v hold equal weights at every point), nothing is solved, and
+        the distance is exactly 0.
         NaN coordinates make the distance undefined (``nan``); infinite
         coordinates on exactly one side make it ``inf``, on both sides
         undefined.
@@ -140,27 +147,59 @@ def wasserstein_distance(
             distance = cdf_distance_1d(u_dist, v_dist)
             plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
         else:
-            # the LP runs on distinct points, each carrying the summed weight
-            # of its copies: the distance depends on the two measures alone,
-            # and n copies of a point would be n identical rows of the costs;
-            # merged on the scaled points, which are what the costs see
-            u_merged, u_group = merge_duplicates(u_dist)
-            v_merged, v_group = merge_duplicates(v_dist)
-            costs = pairwise_costs(u_merged, v_merged)
-            # solve on costs in [0.5, 1), scaled by a power of two so that no
-            # cost is rounded: the solver's tolerances follow any cost scale,
-            # but its potentials are bounded only by measurement (the
-            # OPTIMALITY_TOL comment), and costs near 2^1022 would leave them
-            # about one bit of headroom
-            _, exponent = math.frexp(float(costs.max()))
-            np.ldexp(costs, -exponent, out=costs)
-            problem = build_problem(costs, u_merged.weights, v_merged.weights)
-            solution = solve(problem)
-            distance = max(0.0, solution_distance(solution))
-            scale += exponent
+            # with a metric cost, W1 depends on u - v alone (Kantorovich-Rubinstein;
+            # Villani, Topics in Optimal Transportation, 2003, ch. 1): some
+            # optimal plan keeps min(a, b) in place at every point where u holds
+            # a and v holds b. So both sides are merged at once, on the scaled
+            # points the costs see, with v's weights negated, and the LP solves
+            # only the residual problem: the points of positive net mass are
+            # the sources, the rest the sinks. u's points are the first merged
+            # points, in order of first occurrence, and those of net mass zero
+            # stay sources, so with no shared point the problem is that of the
+            # two sides merged apart, zero-weight points included, bit for bit
+            n = u_dist.size
+            stacked = replace(u_dist, points=np.concatenate([u_dist.points, v_dist.points]),
+                              weights=np.concatenate([u_dist.weights, -v_dist.weights]))
+            merged, group = merge_duplicates(stacked)
+            at = np.arange(merged.size) if group is None else group
+            held = np.minimum(np.bincount(at[:n], u_dist.weights, merged.size),
+                              np.bincount(at[n:], v_dist.weights, merged.size))
+            source = merged.weights >= 0.0
+            source[at[:n].max() + 1:] = False
+            rows, cols = np.flatnonzero(source), np.flatnonzero(~source)
+            supply, demand = merged.weights[rows], -merged.weights[cols]
+            totals = supply.sum(), demand.sum()
+            if min(totals) > 0.0:
+                if held.any():
+                    # where mass cancelled, the residual totals agree only to
+                    # the rounding of the full problem, far less closely than
+                    # build_problem asks of small totals: the smaller is scaled
+                    # to the larger, which moves the distance by that imbalance
+                    # times a cost, the full problem's rounding level
+                    top = max(totals)
+                    supply, demand = supply * (top / totals[0]), demand * (top / totals[1])
+                costs = pairwise_costs(replace(merged, points=merged.points[rows], weights=supply),
+                                       replace(merged, points=merged.points[cols], weights=demand))
+                # solve on costs in [0.5, 1), scaled by a power of two so that no
+                # cost is rounded: the solver's tolerances follow any cost scale,
+                # but its potentials are bounded only by measurement (the
+                # OPTIMALITY_TOL comment), and costs near 2^1022 would leave them
+                # about one bit of headroom
+                _, exponent = math.frexp(float(costs.max()))
+                np.ldexp(costs, -exponent, out=costs)
+                solution = solve(build_problem(costs, supply, demand))
+                distance = max(0.0, solution_distance(solution))
+                scale += exponent
+                iterations, moved = solution.iterations, solution.plan
+            else:
+                # one side holds no net mass: all of it stays in place
+                distance, moved = 0.0, TransportPlan(0, 0, rows[:0], cols[:0], supply[:0])
             if want_plan:
-                plan = _split_plan(solution.plan, u_dist.weights, u_group, v_dist.weights, v_group)
-            iterations = solution.iterations
+                # with no shared point and no repeat, the sources and sinks are
+                # the input points themselves
+                plan = moved if group is None else _split_plan(
+                    moved, rows, cols, held, u_dist.weights, at[:n], v_dist.weights, at[n:]
+                )
         # past the float maximum the distance reads inf; math.ldexp would raise
         with np.errstate(over="ignore"):
             distance = float(np.ldexp(distance, scale))
@@ -172,22 +211,25 @@ def wasserstein_distance(
     return DistanceResult(distance, path, iterations, time.perf_counter_ns() - started, plan)
 
 
-def _split_plan(plan, u_weights, u_group, v_weights, v_group):
-    """The plan over the input points, from a plan over the merged points.
+def _split_plan(moved, rows, cols, held, u_weights, u_group, v_weights, v_group):
+    """The plan over the input points, from the residual plan ``moved`` and the mass ``held``.
 
-    ``u_group`` and ``v_group`` come from ``merge_duplicates``, None for a
-    side that merged nothing. Each entry is split among the members of its
-    merged points, rows first, then columns (``_split``), so a basic plan
-    of at most G + H - 1 entries becomes one of at most n + m - 1, and a
-    point of zero weight gets no flow. Entries come in row-major order.
+    ``moved`` indexes the residual sources ``rows`` and sinks ``cols``, which
+    are merged points; ``held[p]`` is the mass kept in place at merged point
+    p, and ``u_group`` and ``v_group`` give the merged point of each input
+    point. The plan over the merged points, ``moved`` plus one entry per
+    point that holds mass, is split among the members of its merged points,
+    rows first, then columns (``_split``), so a basic plan becomes one of at
+    most n + m - 1 entries, and a point of zero weight gets no flow. Entries
+    come in row-major order.
     """
-    rows, cols, mass = plan.rows, plan.cols, plan.mass
-    if u_group is not None:
-        entry, rows, mass = _split(rows, mass, u_group, u_weights)
-        cols = cols[entry]
-    if v_group is not None:
-        entry, cols, mass = _split(cols, mass, v_group, v_weights)
-        rows = rows[entry]
+    kept = np.flatnonzero(held)
+    entry, rows, mass = _split(
+        np.concatenate([rows[moved.rows], kept]), np.concatenate([moved.mass, held[kept]]),
+        u_group, u_weights,
+    )
+    entry, cols, mass = _split(np.concatenate([cols[moved.cols], kept])[entry], mass, v_group, v_weights)
+    rows = rows[entry]
     order = np.lexsort((cols, rows))
     return TransportPlan(u_weights.size, v_weights.size, rows[order], cols[order], mass[order])
 

@@ -125,10 +125,13 @@ def merge_duplicates(dist: DiscreteDistribution):
 
     Returns ``(merged, group)``: ``group[x]`` is the merged point of input
     point x, and merged points come in order of first occurrence, each at
-    its first occurrence's coordinates. Weights are summed in input order,
-    and a point of zero weight is merged like any other. With no repeated
-    point, returns ``(dist, None)``, ``dist`` itself. Rows are identical when
-    they compare equal coordinate for coordinate, so 0.0 and -0.0 merge.
+    its first occurrence's coordinates. Weights may be signed: the positive
+    and the negative ones are each summed in input order, then the two sums
+    are added, so copies whose weights cancel exactly give a point of net
+    weight zero, which carries none. A point of zero weight is merged like
+    any other. With no repeated point, returns ``(dist, None)``, ``dist``
+    itself. Rows are identical when they compare equal coordinate for
+    coordinate, so 0.0 and -0.0 merge.
     """
     points = dist.points
     # a stable sort puts identical rows next to each other, each run in input order
@@ -145,8 +148,9 @@ def merge_duplicates(dist: DiscreteDistribution):
     kept[firsts] = True
     group = np.empty_like(order)
     group[order] = (np.cumsum(kept) - 1)[firsts][np.cumsum(starts) - 1]
-    weights = _freeze(np.bincount(group, weights=dist.weights))
-    return DiscreteDistribution(_freeze(points[kept]), weights, dist.normalized), group
+    w = dist.weights
+    weights = np.bincount(group, np.maximum(w, 0.0)) - np.bincount(group, np.maximum(-w, 0.0))
+    return DiscreteDistribution(_freeze(points[kept]), _freeze(weights), dist.normalized), group
 
 
 class Finiteness(enum.Enum):

@@ -385,18 +385,13 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     ``math.frexp`` exponent of the largest |cost| (``TransportProblem.tolerance``),
     and the duality-gap check also by the supply total. So costs and masses
     of any size are solved alike, and either scaled by a power of two takes
-    the same pivots to the same answer, scaled. ``OPTIMALITY_TOL`` takes e
-    from the cells of positive mass only, the ones pivoted on, so a far point
-    of zero mass does not loosen the stopping test.
+    the same pivots to the same answer, scaled. Both take e from the cells of
+    positive mass only (``TransportProblem.positive_mass``), the ones pivoted
+    on, so a far point of zero mass loosens neither the stopping test nor
+    the duality-gap check.
     """
-    live_rows, live_cols = problem.supply > 0.0, problem.demand > 0.0
-    rows, cols = np.flatnonzero(live_rows), np.flatnonzero(live_cols)
-    n, m = rows.size, cols.size
-    if n == problem.n_sources and m == problem.n_targets:
-        cost = problem.cost
-    else:
-        cost = problem.cost[np.ix_(rows, cols)]
-    live = TransportProblem(cost, problem.supply[rows], problem.demand[cols])
+    live, rows, cols = problem.positive_mass()
+    cost, n, m = live.cost, rows.size, cols.size
     tree = initial_basis(live)
     pivot_limit = pivot_budget(n, m)
     tol = live.tolerance(OPTIMALITY_TOL)
@@ -420,8 +415,9 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     dual = np.empty(n_all + problem.n_targets)
     alpha, beta = dual[:n_all], dual[n_all:]
     alpha[rows], beta[cols] = tree.potential[:n], tree.potential[n:]
-    alpha[~live_rows] = (cost[~live_rows][:, cols] - beta[cols]).min(axis=1)
-    beta[~live_cols] = (cost[:, ~live_cols] - alpha[:, None]).min(axis=0)
+    dead_rows, dead_cols = problem.supply <= 0.0, problem.demand <= 0.0
+    alpha[dead_rows] = (cost[dead_rows][:, cols] - beta[cols]).min(axis=1)
+    beta[dead_cols] = (cost[:, dead_cols] - alpha[:, None]).min(axis=0)
     # the positive flows in row-major order, mapped back to the full problem
     at_i, at_j = tree._cells()
     flow = np.array(tree.flow[1:])

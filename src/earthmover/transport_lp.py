@@ -68,6 +68,18 @@ class TransportProblem:
         """
         return math.ldexp(tol, math.frexp(max(-self.cost.min(), self.cost.max()))[1])
 
+    def positive_mass(self):
+        """``(live, rows, cols)``: the subproblem of the rows and columns of positive mass.
+
+        ``rows`` and ``cols`` index them in this problem; ``live`` is this
+        problem itself when every point carries mass.
+        """
+        rows, cols = np.flatnonzero(self.supply > 0.0), np.flatnonzero(self.demand > 0.0)
+        if rows.size == self.n_sources and cols.size == self.n_targets:
+            return self, rows, cols
+        cost = self.cost[np.ix_(rows, cols)]
+        return TransportProblem(cost, self.supply[rows], self.demand[cols]), rows, cols
+
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -143,14 +155,16 @@ def solution_distance(solution: TransportSolution) -> float:
     """Distance read off the dual: rhs . dual, checked against the primal objective.
 
     The two may differ by at most ``DUALITY_GAP_TOL`` times 2^e times the
-    supply total, e the ``math.frexp`` exponent of the largest |cost|
-    (``TransportProblem.tolerance``): relative to the cost scale and to the
-    mass.
+    supply total, e the ``math.frexp`` exponent of the largest |cost| between
+    points of positive mass (``TransportProblem.tolerance`` of
+    ``positive_mass``): relative to the cost scale and to the mass. A far
+    point of zero mass carries no flow, so it does not loosen the check.
     """
     problem = solution.problem
     value = float(problem.rhs() @ solution.dual)
     gap = abs(value - solution.objective)
-    if not gap <= problem.tolerance(DUALITY_GAP_TOL) * float(problem.supply.sum()):
+    live, _, _ = problem.positive_mass()
+    if not gap <= live.tolerance(DUALITY_GAP_TOL) * float(problem.supply.sum()):
         raise DualityGapError(
             f"dual value {value!r} and primal objective {solution.objective!r} "
             f"disagree by {gap:.3e}"

@@ -6,7 +6,9 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,9 @@ from earthmover import (
     WeightSumError,
     wasserstein_distance,
 )
-from earthmover.distributions import validate
+from earthmover.distributions import merge_duplicates, normalize, validate
 from earthmover.geometry import pairwise_costs
-from earthmover.simplex import OPTIMALITY_TOL, pivot_budget
+from earthmover.simplex import OPTIMALITY_TOL, pivot_budget, solve
 
 
 class TestReferenceValues:
@@ -621,3 +623,138 @@ class TestRepeatedPoints:
         assert_plan_of_the_input(result, u, v, u_w, v_w)
         merged = wasserstein_distance(u[:3], v[:2], np.bincount(np.arange(3000) % 3, u_w), [1.0, 1.0])
         assert result.distance == pytest.approx(merged.distance, **close)
+
+
+def exact_distance(u, v, u_w, v_w):
+    """The exact optimum of the full LP on ``u`` and ``v``, as a Fraction.
+
+    The LP is the one over every input point, shared and repeated ones
+    included, with the float costs ``pairwise_costs`` gives the input points
+    (those ``solve`` sees are these times a power of two, each up to its own
+    rounding) and the exact masses of the integer weights ``u_w`` and
+    ``v_w``. Every float is a dyadic rational, so the costs times their
+    common power-of-two denominator are ints, and so are the masses when
+    each side's weights are scaled by the other side's total; on ints
+    ``networkx.network_simplex`` is exact.
+    """
+    costs = [[Fraction(c) for c in row] for row in pairwise_costs(validate(u), validate(v)).tolist()]
+    scale = max(c.denominator for row in costs for c in row)
+    u_w, v_w = [int(w) for w in u_w], [int(w) for w in v_w]
+    graph = nx.DiGraph()
+    for i, w in enumerate(u_w):
+        graph.add_node(("u", i), demand=-w * sum(v_w))
+    for j, w in enumerate(v_w):
+        graph.add_node(("v", j), demand=w * sum(u_w))
+    for i, row in enumerate(costs):
+        for j, c in enumerate(row):
+            graph.add_edge(("u", i), ("v", j), weight=int(c * scale))
+    flow_cost, _ = nx.network_simplex(graph)
+    return Fraction(flow_cost, scale * sum(u_w) * sum(v_w))
+
+
+@st.composite
+def grid_pair(draw):
+    """Two point sets on a small grid, so points repeat within and across the sides.
+
+    (n, d) rows with d = 1 to 4 and integer weights 0 to 4, at least one of
+    them positive on each side.
+    """
+    d = draw(st.integers(1, 4))
+    coordinate = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+
+    def point_set():
+        n = draw(st.integers(1, 7))
+        pts = np.array(draw(st.lists(coordinate, min_size=n * d, max_size=n * d))).reshape(n, d)
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+        weights[draw(st.integers(0, n - 1))] += 1.0
+        return pts, weights
+
+    return point_set(), point_set()
+
+
+class TestSharedMass:
+    """The LP solves the residual of u - v: the mass both sides hold at a point stays there."""
+
+    def test_exact_oracle_on_known_instances(self):
+        assert exact_distance([[0.0], [1.0]], [[0.0], [1.0]], [1, 0], [0, 1]) == 1
+        assert exact_distance([[0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]], [1], [1, 2]) == Fraction(5, 3)
+        # 0.1 is a dyadic rational a little above 1/10
+        assert exact_distance([[0.0]], [[0.1]], [1], [1]) == Fraction(0.1)
+
+    @given(pair=grid_pair())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_meets_the_exact_optimum_of_the_full_problem(self, pair):
+        (u, u_w), (v, v_w) = pair
+        result = wasserstein_distance(u, v, u_w, v_w, want_plan=True)
+        assert result.path == "lp"
+        exact = exact_distance(u, v, u_w, v_w)
+        assert result.distance == pytest.approx(float(exact), **slack(False, u, v))
+        assert_plan_of_the_input(result, u, v, u_w, v_w)
+
+    def test_input_without_shared_points_reaches_solve_unchanged(self, monkeypatch):
+        # u on even grid coordinates, v on odd ones, each with repeats: the
+        # LP gets each side merged apart, masses bit for bit, with no rescale
+        problems = []
+
+        def capture(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(earthmover.api, "solve", capture)
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            d, n, m = int(rng.integers(1, 4)), int(rng.integers(1, 20)), int(rng.integers(1, 20))
+            u, v = rng.integers(0, 3, (n, d)) * 2.0, rng.integers(0, 3, (m, d)) * 2.0 + 1.0
+            u_w, v_w = rng.random(n) + 0.01, rng.random(m) + 0.01
+            wasserstein_distance(u, v, u_w, v_w)
+            merged_u, _ = merge_duplicates(normalize(validate(u, u_w)))
+            merged_v, _ = merge_duplicates(normalize(validate(v, v_w)))
+            assert problems[-1].supply.tobytes() == merged_u.weights.tobytes()
+            assert problems[-1].demand.tobytes() == merged_v.weights.tobytes()
+
+    def test_identical_sides_read_exactly_zero(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            pts = rng.integers(0, 3, (n, d)) * 1.0
+            w = rng.random(n) + 0.01
+            result = wasserstein_distance(pts, pts, w, w, want_plan=True)
+            assert result.distance == 0.0
+            assert result.iterations == 0
+            # nothing moves: each point's mass stays where it is, on the
+            # copies of the input that share its coordinates
+            plan = result.plan
+            assert (pts[plan.rows] == pts[plan.cols]).all()
+            assert_plan_of_the_input(result, pts, pts, w, w)
+
+    def test_weights_equal_to_rounding_leave_a_rounding_sized_distance(self):
+        # the residual masses are rounding noise, and their two totals
+        # disagree far past MASS_BALANCE_TOL: the smaller is scaled to the
+        # larger, so nothing raises and the error is the imbalance times a cost
+        rng = np.random.default_rng(22)
+        eps = np.finfo(float).eps
+        for _ in range(2000):
+            k, d = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+            pts = rng.random((k, d))
+            u_w = rng.random(k) + 0.01
+            u_w /= u_w.sum()
+            v_w = u_w * (1 + 1e-15 * rng.normal(size=k))
+            v_w /= v_w.sum()
+            distance = wasserstein_distance(pts, pts, u_w, v_w).distance
+            assert 0.0 <= distance <= 8 * eps * pairwise_costs(validate(pts), validate(pts)).max()
+
+    def test_plans_on_shared_grid_points_index_the_input(self):
+        # v takes some of u's points, in another order and with other
+        # weights, zeros included, beside points of its own
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            d, n = int(rng.integers(1, 4)), int(rng.integers(1, 20))
+            u = rng.integers(0, 3, (n, d)) * 1.0
+            v = np.vstack([u[rng.integers(0, n, int(rng.integers(1, 20)))],
+                           rng.integers(0, 3, (int(rng.integers(0, 5)), d)) * 1.0])
+            u_w, v_w = rng.integers(0, 4, n) * 1.0, rng.integers(0, 4, len(v)) * 1.0
+            u_w[rng.integers(n)] += 1.0
+            v_w[rng.integers(len(v))] += 1.0
+            result = wasserstein_distance(u, v, u_w, v_w, want_plan=True)
+            assert_plan_of_the_input(result, u, v, u_w, v_w)
+            assert result.distance == pytest.approx(float(exact_distance(u, v, u_w, v_w)), **slack(False, u, v))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earthmover.distributions import (
+    DiscreteDistribution,
     Finiteness,
     as_float_array,
     classify_finiteness,
@@ -166,6 +167,15 @@ class TestMergeDuplicates:
         assert merged.weights.tolist() == [0.6000000000000001, 0.4]
         merged, _ = merge_duplicates(validate([[1.0], [1.0], [2.0], [1.0]], [0.3, 0.2, 0.4, 0.1]))
         assert merged.weights.tolist() == [0.6, 0.4]
+
+    def test_signed_weights_that_cancel_net_exactly_zero(self):
+        # one running sum reads 0.1 + 0.2 - 0.1 - 0.2 = 2.8e-17; the positive
+        # and the negative weights are summed apart
+        dist = DiscreteDistribution(np.array([[1.0], [1.0], [2.0], [1.0], [1.0]]),
+                                    np.array([0.1, 0.2, 0.5, -0.1, -0.2]))
+        merged, group = merge_duplicates(dist)
+        assert group.tolist() == [0, 0, 1, 0, 0]
+        assert merged.weights.tolist() == [0.0, 0.5]
 
     def test_every_row_the_same(self):
         merged, group = merge_duplicates(validate(np.ones((5, 3))))

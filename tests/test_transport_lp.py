@@ -272,6 +272,24 @@ class TestSolutionDistance:
         with pytest.raises(DualityGapError, match="E_DUALITY_GAP"):
             solution_distance(broken)
 
+    def test_a_far_zero_mass_point_leaves_the_gap_check_tight(self):
+        # the gap limit took its scale from every cost, the far point's too:
+        # 1e-8 here against an objective of 1.05e-13, so an objective 1% off
+        # passed. Built as api builds it: costs scaled into [0.5, 1)
+        rng = np.random.default_rng(3)
+        pts_u, pts_v = rng.random((30, 2)), rng.random((30, 2))
+        u = normalize(validate(np.vstack([pts_u, [[1e12, 0.0]]]), np.append(np.ones(30), 0.0)))
+        v = normalize(validate(pts_v))
+        costs = pairwise_costs(u, v)
+        costs = np.ldexp(costs, -math.frexp(costs.max())[1])
+        solution = solve(build_problem(costs, u.weights, v.weights))
+        assert solution_distance(solution) == pytest.approx(solution.objective, rel=1e-12)
+        close = dataclasses.replace(solution, objective=solution.objective * (1 + 1e-15))
+        assert solution_distance(close) == pytest.approx(solution.objective, rel=1e-12)
+        off = dataclasses.replace(solution, objective=solution.objective + 1e-15)
+        with pytest.raises(DualityGapError):
+            solution_distance(off)
+
     def test_dual_matches_primal_objective(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
