@@ -94,10 +94,11 @@ def wasserstein_distance(
         sides are merged into one point carrying u's weight less v's, the
         mass both sides hold there stays in place, which changes no distance
         (Kantorovich-Rubinstein), and the points of positive net mass send
-        to those of negative net mass. ``iterations`` counts the pivots of
-        that problem. When no point has positive net mass, or none negative
-        (u and v hold equal weights at every point), nothing is solved, and
-        the distance is exactly 0.
+        to those of negative net mass; points of zero net mass, zero-weight
+        points among them, take no part in the LP. ``iterations`` counts the
+        pivots of that problem. When no point has positive net mass, or none
+        negative (u and v hold equal weights at every point), nothing is
+        solved, and the distance is exactly 0.
         NaN coordinates make the distance undefined (``nan``); infinite
         coordinates on exactly one side make it ``inf``, on both sides
         undefined.
@@ -153,10 +154,11 @@ def wasserstein_distance(
             # a and v holds b. So both sides are merged at once, on the scaled
             # points the costs see, with v's weights negated, and the LP solves
             # only the residual problem: the points of positive net mass are
-            # the sources, the rest the sinks. u's points are the first merged
-            # points, in order of first occurrence, and those of net mass zero
-            # stay sources, so with no shared point the problem is that of the
-            # two sides merged apart, zero-weight points included, bit for bit
+            # the sources, those of negative net mass the sinks, and a point
+            # of net mass zero, zero-weight points included, takes no part.
+            # u's points are the first merged points, in order of first
+            # occurrence, so with no shared point the problem is that of the
+            # two sides merged apart, less their zero-weight points, bit for bit
             n = u_dist.size
             stacked = replace(u_dist, points=np.concatenate([u_dist.points, v_dist.points]),
                               weights=np.concatenate([u_dist.weights, -v_dist.weights]))
@@ -164,9 +166,7 @@ def wasserstein_distance(
             at = np.arange(merged.size) if group is None else group
             held = np.minimum(np.bincount(at[:n], u_dist.weights, merged.size),
                               np.bincount(at[n:], v_dist.weights, merged.size))
-            source = merged.weights >= 0.0
-            source[at[:n].max() + 1:] = False
-            rows, cols = np.flatnonzero(source), np.flatnonzero(~source)
+            rows, cols = np.flatnonzero(merged.weights > 0.0), np.flatnonzero(merged.weights < 0.0)
             supply, demand = merged.weights[rows], -merged.weights[cols]
             totals = supply.sum(), demand.sum()
             if min(totals) > 0.0:
@@ -196,10 +196,12 @@ def wasserstein_distance(
                 distance, moved = 0.0, TransportPlan(0, 0, rows[:0], cols[:0], supply[:0])
             if want_plan:
                 # with no shared point and no repeat, the sources and sinks are
-                # the input points themselves
-                plan = moved if group is None else _split_plan(
-                    moved, rows, cols, held, u_dist.weights, at[:n], v_dist.weights, at[n:]
-                )
+                # the input points of positive weight themselves
+                if group is None:
+                    plan = TransportPlan(n, v_dist.size, rows[moved.rows], cols[moved.cols] - n, moved.mass)
+                else:
+                    plan = _split_plan(moved, rows, cols, held, u_dist.weights, at[:n],
+                                       v_dist.weights, at[n:])
         # past the float maximum the distance reads inf; math.ldexp would raise
         with np.errstate(over="ignore"):
             distance = float(np.ldexp(distance, scale))

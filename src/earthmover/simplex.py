@@ -110,9 +110,8 @@ Each pivot therefore moves a positive perturbed amount round a cycle of
 negative reduced cost, the perturbed objective falls strictly, no basis
 repeats, and no fallback rule such as Bland's is needed. Any negative
 entering cost will do, not only the most negative, so block search keeps
-the argument. It needs every supply and demand positive; ``solve`` sets
-zero-mass points aside before pivoting and gives them dual values
-afterwards.
+the argument. It needs every supply and demand positive, which
+``build_problem`` guarantees.
 
 The objective is kept up to date as theta times the entering reduced cost,
 so the per-pivot callback costs nothing extra.
@@ -285,9 +284,6 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     that row is turned round, which roots the tree at source 0. The walk
     decides only ``parent`` and ``flow``; ``SpanningTree`` derives the rest.
 
-    With zero masses the start is still a feasible basis of n + m - 1 cells,
-    but not strongly feasible; ``solve`` never passes such a problem.
-
     Sources are nodes 0 and 1 and targets nodes 2 and 3 of a 2 x 2 problem:
 
     >>> from earthmover.transport_lp import build_problem
@@ -364,11 +360,6 @@ def pivot_budget(n_sources: int, n_targets: int) -> int:
 def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     """Minimize total transport cost; returns plan, duals, and objective.
 
-    The start and the pivots run on the rows and columns with positive mass.
-    A zero-mass point carries no flow; afterwards each one gets the largest
-    dual value that keeps every reduced cost non-negative, which adds nothing
-    to the dual objective.
-
     Each entering cell comes from ``_entering``, which prices the blocks
     from the tree's potentials as the pivots change them. A pivot leaves the
     potentials a fresh ``SpanningTree(cost, parent, flow)`` would derive, so
@@ -377,24 +368,20 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
     ``callback(iteration, objective)`` is invoked after every pivot, which
     lets tests watch the objective decrease. Raises IterationLimitError past
-    ``pivot_budget`` of the positive-mass sizes, which would indicate a
-    cycling bug: these instances are always feasible and bounded.
+    ``pivot_budget``, which would indicate a cycling bug: these instances are
+    always feasible and bounded.
 
     ``OPTIMALITY_TOL`` and the duality-gap check of ``solution_distance`` are
     relative to the cost scale: both are multiplied by 2^e, e the
     ``math.frexp`` exponent of the largest |cost| (``TransportProblem.tolerance``),
     and the duality-gap check also by the supply total. So costs and masses
     of any size are solved alike, and either scaled by a power of two takes
-    the same pivots to the same answer, scaled. Both take e from the cells of
-    positive mass only (``TransportProblem.positive_mass``), the ones pivoted
-    on, so a far point of zero mass loosens neither the stopping test nor
-    the duality-gap check.
+    the same pivots to the same answer, scaled.
     """
-    live, rows, cols = problem.positive_mass()
-    cost, n, m = live.cost, rows.size, cols.size
-    tree = initial_basis(live)
+    cost, n, m = problem.cost, problem.n_sources, problem.n_targets
+    tree = initial_basis(problem)
     pivot_limit = pivot_budget(n, m)
-    tol = live.tolerance(OPTIMALITY_TOL)
+    tol = problem.tolerance(OPTIMALITY_TOL)
     # the start's cost, added up cell by cell in node order: np.dot may pair
     # the terms differently, and from Python 3.12 builtin sum compensates
     objective = 0.0
@@ -411,20 +398,13 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
         if callback is not None:
             callback(iterations, objective)
 
-    cost, n_all = problem.cost, problem.n_sources
-    dual = np.empty(n_all + problem.n_targets)
-    alpha, beta = dual[:n_all], dual[n_all:]
-    alpha[rows], beta[cols] = tree.potential[:n], tree.potential[n:]
-    dead_rows, dead_cols = problem.supply <= 0.0, problem.demand <= 0.0
-    alpha[dead_rows] = (cost[dead_rows][:, cols] - beta[cols]).min(axis=1)
-    beta[dead_cols] = (cost[:, dead_cols] - alpha[:, None]).min(axis=0)
-    # the positive flows in row-major order, mapped back to the full problem
+    # the positive flows in row-major order
     at_i, at_j = tree._cells()
     flow = np.array(tree.flow[1:])
     kept = np.flatnonzero(flow > 0.0)
     kept = kept[np.lexsort((at_j[kept], at_i[kept]))]
-    plan = TransportPlan(n_all, problem.n_targets, rows[at_i[kept]], cols[at_j[kept]], flow[kept])
-    return TransportSolution(problem, plan, dual, plan.cost(cost), iterations)
+    plan = TransportPlan(n, m, at_i[kept], at_j[kept], flow[kept])
+    return TransportSolution(problem, plan, tree.potential.copy(), plan.cost(cost), iterations)
 
 
 def _entering(cost: np.ndarray, potential: np.ndarray, tol: float):

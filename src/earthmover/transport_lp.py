@@ -38,7 +38,7 @@ DUALITY_GAP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Balanced transport instance: n x m costs, marginals >= 0 with equal positive totals.
+    """Balanced transport instance: n x m costs, marginals > 0 with equal totals.
 
     The totals may be any positive size, not only 1. ``build_problem``
     checks all of this and that the costs are finite.
@@ -67,18 +67,6 @@ class TransportProblem:
         scaled by a power of two is solved the same way, only scaled.
         """
         return math.ldexp(tol, math.frexp(max(-self.cost.min(), self.cost.max()))[1])
-
-    def positive_mass(self):
-        """``(live, rows, cols)``: the subproblem of the rows and columns of positive mass.
-
-        ``rows`` and ``cols`` index them in this problem; ``live`` is this
-        problem itself when every point carries mass.
-        """
-        rows, cols = np.flatnonzero(self.supply > 0.0), np.flatnonzero(self.demand > 0.0)
-        if rows.size == self.n_sources and cols.size == self.n_targets:
-            return self, rows, cols
-        cost = self.cost[np.ix_(rows, cols)]
-        return TransportProblem(cost, self.supply[rows], self.demand[cols]), rows, cols
 
 
 @dataclass(frozen=True)
@@ -112,16 +100,18 @@ class TransportSolution:
 
     problem: TransportProblem
     plan: TransportPlan
-    dual: np.ndarray  # length n+m, rows first, 0 at the first source with mass
+    dual: np.ndarray  # length n+m, rows first, 0 at source 0
     objective: float
     iterations: int
 
 
 def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
-    """Assemble a balanced instance from finite costs and flat marginals >= 0.
+    """Assemble a balanced instance from finite costs and flat marginals > 0.
 
-    The positive totals must agree to ``MASS_BALANCE_TOL`` times the smaller
-    of them, so marginals of any scale balance alike. Raises ShapeError for
+    Every marginal entry must be positive: the solver's anti-cycling rule
+    needs it, so a point of zero mass is left out by the caller. The totals,
+    positive, must agree to ``MASS_BALANCE_TOL`` times the smaller of them,
+    so marginals of any scale balance alike. Raises ShapeError for
     a cost or marginal that is not real numbers or a marginal that is not
     flat, ValidationError for a cost that is not finite, and
     MassMismatchError for shapes or totals that do not match.
@@ -141,8 +131,9 @@ def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
     # a total past the float maximum is inf, which the balance check rejects
     with np.errstate(over="ignore"):
         totals = float(supply.sum()), float(demand.sum())
-    if not ((supply >= 0.0).all() and (demand >= 0.0).all() and min(totals) > 0.0):
-        raise MassMismatchError("marginals must be non-negative with a positive total")
+    # the total check is what rejects empty marginals
+    if not ((supply > 0.0).all() and (demand > 0.0).all() and min(totals) > 0.0):
+        raise MassMismatchError("marginal entries must be positive, with a positive total")
     # relative to the smaller total: with the larger one, an inf total would
     # pass as inf * tol
     gap, limit = abs(totals[0] - totals[1]), MASS_BALANCE_TOL * min(totals)
@@ -155,16 +146,14 @@ def solution_distance(solution: TransportSolution) -> float:
     """Distance read off the dual: rhs . dual, checked against the primal objective.
 
     The two may differ by at most ``DUALITY_GAP_TOL`` times 2^e times the
-    supply total, e the ``math.frexp`` exponent of the largest |cost| between
-    points of positive mass (``TransportProblem.tolerance`` of
-    ``positive_mass``): relative to the cost scale and to the mass. A far
-    point of zero mass carries no flow, so it does not loosen the check.
+    supply total, e the ``math.frexp`` exponent of the largest |cost|
+    (``TransportProblem.tolerance``): relative to the cost scale and to the
+    mass.
     """
     problem = solution.problem
     value = float(problem.rhs() @ solution.dual)
     gap = abs(value - solution.objective)
-    live, _, _ = problem.positive_mass()
-    if not gap <= live.tolerance(DUALITY_GAP_TOL) * float(problem.supply.sum()):
+    if not gap <= problem.tolerance(DUALITY_GAP_TOL) * float(problem.supply.sum()):
         raise DualityGapError(
             f"dual value {value!r} and primal objective {solution.objective!r} "
             f"disagree by {gap:.3e}"

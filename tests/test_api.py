@@ -693,7 +693,9 @@ class TestSharedMass:
 
     def test_input_without_shared_points_reaches_solve_unchanged(self, monkeypatch):
         # u on even grid coordinates, v on odd ones, each with repeats: the
-        # LP gets each side merged apart, masses bit for bit, with no rescale
+        # LP gets each side merged apart, masses bit for bit, with no rescale.
+        # Every other trial draws zero weights: the merged points of zero
+        # mass are left out, and no zero reaches solve
         problems = []
 
         def capture(problem):
@@ -702,15 +704,21 @@ class TestSharedMass:
 
         monkeypatch.setattr(earthmover.api, "solve", capture)
         rng = np.random.default_rng(24)
-        for _ in range(30):
+        for trial in range(60):
             d, n, m = int(rng.integers(1, 4)), int(rng.integers(1, 20)), int(rng.integers(1, 20))
             u, v = rng.integers(0, 3, (n, d)) * 2.0, rng.integers(0, 3, (m, d)) * 2.0 + 1.0
-            u_w, v_w = rng.random(n) + 0.01, rng.random(m) + 0.01
+            if trial % 2:
+                u_w, v_w = rng.integers(0, 3, n) * 1.0, rng.integers(0, 3, m) * 1.0
+                u_w[rng.integers(n)] = v_w[rng.integers(m)] = 1.0
+            else:
+                u_w, v_w = rng.random(n) + 0.01, rng.random(m) + 0.01
             wasserstein_distance(u, v, u_w, v_w)
             merged_u, _ = merge_duplicates(normalize(validate(u, u_w)))
             merged_v, _ = merge_duplicates(normalize(validate(v, v_w)))
-            assert problems[-1].supply.tobytes() == merged_u.weights.tobytes()
-            assert problems[-1].demand.tobytes() == merged_v.weights.tobytes()
+            supply, demand = problems[-1].supply, problems[-1].demand
+            assert supply.tobytes() == merged_u.weights[merged_u.weights > 0.0].tobytes()
+            assert demand.tobytes() == merged_v.weights[merged_v.weights > 0.0].tobytes()
+            assert (supply > 0.0).all() and (demand > 0.0).all()
 
     def test_identical_sides_read_exactly_zero(self):
         rng = np.random.default_rng(21)

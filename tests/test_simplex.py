@@ -129,7 +129,7 @@ class TestInitialBasis:
         assert sum(state.flows.values()) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize(
-        "family", ["equal", "grid", "uniform", "row", "column", "zero_mass", "nan"]
+        "family", ["equal", "grid", "uniform", "row", "column", "nan"]
     )
     def test_matches_the_full_ranking_start(self, family):
         # ties and duplicates decide the tie order; uniform points and wide
@@ -143,7 +143,7 @@ class TestInitialBasis:
                 m = 1
             if family == "equal":
                 cost = np.full((n, m), 0.5)
-            elif family in ("grid", "zero_mass"):
+            elif family == "grid":
                 gap = rng.integers(0, 4, (n, 1, 2)) - rng.integers(0, 4, (1, m, 2))
                 cost = np.hypot(gap[..., 0], gap[..., 1])
             else:
@@ -151,10 +151,6 @@ class TestInitialBasis:
             if family == "nan":
                 cost[rng.random((n, m)) < 0.9] = np.nan
             supply, demand = rng.integers(1, 4, n).astype(float), rng.integers(1, 4, m).astype(float)
-            if family == "zero_mass":
-                supply[rng.random(n) < 0.2] = 0.0
-                demand[rng.random(m) < 0.2] = 0.0
-                supply[0] = demand[0] = 1.0
             supply, demand = supply / supply.sum(), demand / demand.sum()
             if family == "nan":
                 # build_problem rejects non-finite costs; the start must
@@ -355,44 +351,6 @@ class TestSolve:
         with pytest.raises(IterationLimitError, match="E_ITER_LIMIT"):
             solve(problem)
 
-    def test_zero_mass_points_are_priced_in(self):
-        rng = np.random.default_rng(74)
-        for _ in range(20):
-            n, m = int(rng.integers(2, 12)), int(rng.integers(2, 12))
-            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
-            w_u[0] = 0.0  # the root of the tree carries no mass
-            w_u[-1] = w_v[-1] = 1.0
-            pts_u = rng.integers(0, 4, (n, 2)).astype(float)
-            pts_v = rng.integers(0, 4, (m, 2)).astype(float)
-            u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
-            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
-            solution = solve(problem)
-            assert_certified(problem, solution)
-            assert (w_u[solution.plan.rows] > 0).all() and (w_v[solution.plan.cols] > 0).all()
-            expected = lp_distance(pts_u[w_u > 0], pts_v[w_v > 0], w_u[w_u > 0], w_v[w_v > 0])
-            assert abs(solution_distance(solution) - expected) <= 1e-12
-
-    def test_callback_with_zero_mass_points(self):
-        rng = np.random.default_rng(78)
-        pivots = 0
-        for _ in range(20):
-            n, m = int(rng.integers(4, 16)), int(rng.integers(4, 16))
-            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
-            w_u[0] = w_v[0] = 0.0
-            w_u[-1] = w_v[-1] = 1.0
-            u = normalize(validate(rng.normal(size=(n, 2)), w_u))
-            v = normalize(validate(rng.normal(size=(m, 2)), w_v))
-            problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
-            calls = []
-            solution = solve(problem, callback=lambda k, objective: calls.append((k, objective)))
-            assert [k for k, _ in calls] == list(range(1, solution.iterations + 1))
-            trace = [objective for _, objective in calls]
-            assert all(after <= before for before, after in zip(trace, trace[1:]))
-            if trace:
-                assert abs(trace[-1] - solution.objective) <= 1e-12
-            pivots += solution.iterations
-        assert pivots >= 20
-
     def test_degenerate_first_pivot_reports_the_node_order_start_objective(self, monkeypatch):
         # on this 12 x 12 assignment the node-order sum and np.dot of the
         # start's flows and costs differ in the last bit, and the first pivot
@@ -539,9 +497,7 @@ class TestSolve:
             else:
                 pts_u = rng.integers(0, 4, (n, 2)).astype(float)
                 pts_v = rng.integers(0, 4, (m, 2)).astype(float)
-            # zero-mass points are set aside, so the tree is smaller than n x m
-            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
-            w_u[0] = w_v[-1] = 1.0
+            w_u, w_v = rng.integers(1, 3, n).astype(float), rng.integers(1, 3, m).astype(float)
             u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
             problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
             assert_certified(problem, solve(problem))
@@ -623,13 +579,11 @@ class TestSolve:
             else:
                 pts_u = rng.integers(0, 4, (n, 2)).astype(float)
                 pts_v = rng.integers(0, 4, (m, 2)).astype(float)
-            w_u, w_v = rng.integers(0, 3, n).astype(float), rng.integers(0, 3, m).astype(float)
-            w_u[0] = w_v[-1] = 1.0
+            w_u, w_v = rng.integers(1, 3, n).astype(float), rng.integers(1, 3, m).astype(float)
             u, v = normalize(validate(pts_u, w_u)), normalize(validate(pts_v, w_v))
             problem = build_problem(pairwise_costs(u, v), u.weights, v.weights)
-            # the tree holds the positive-mass rows and columns only; the
-            # checked pivot reads these two
-            supply, demand = problem.supply[w_u > 0], problem.demand[w_v > 0]
+            # the checked pivot reads these two
+            supply, demand = problem.supply, problem.demand
             assert_certified(problem, solve(problem))
         assert pivots >= 200
 
@@ -637,8 +591,7 @@ class TestSolve:
 class TestAgainstNetworkX:
     def test_integer_instances_match_network_simplex(self):
         # network_simplex is exact on integer data. Rounded distances on a
-        # small grid and random small integers both tie often, and zero
-        # masses leave rows and columns out of the tree.
+        # small grid and random small integers both tie often.
         nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(88)
         pivots = 0
@@ -649,9 +602,10 @@ class TestAgainstNetworkX:
             else:
                 gap = rng.integers(0, 5, (n, 1, 2)) - rng.integers(0, 5, (1, m, 2))
                 cost = np.rint(np.hypot(gap[..., 0], gap[..., 1])).astype(int)
-            supply = rng.integers(0, 5, n)
-            supply[-1] += 1
-            demand = rng.multinomial(supply.sum(), rng.dirichlet(np.ones(m)))
+            # every mass at least 1: m more supply, one unit of it to each target
+            supply = rng.integers(1, 5, n)
+            supply[-1] += m
+            demand = 1 + rng.multinomial(supply.sum() - m, rng.dirichlet(np.ones(m)))
             graph = nx.DiGraph()
             graph.add_nodes_from((("u", i), {"demand": -int(s)}) for i, s in enumerate(supply))
             graph.add_nodes_from((("v", j), {"demand": int(d)}) for j, d in enumerate(demand))

@@ -132,13 +132,24 @@ class TestBuildProblem:
             build_problem(np.ones((2, 2)), [0.5, 0.25, 0.25], [0.5, 0.5])
 
     def test_negative_marginal_rejected(self):
-        # balanced totals, but the solver would read -0.5 as a zero mass
-        with pytest.raises(MassMismatchError, match="non-negative"):
+        # balanced totals, but a negative mass is no mass to move
+        with pytest.raises(MassMismatchError, match="entries must be positive"):
             build_problem(np.ones((2, 1)), [-0.5, 1.5], [1.0])
+
+    def test_zero_marginal_entry_rejected(self):
+        # the anti-cycling rule needs every mass positive; a point of zero
+        # mass is left out before the problem is built
+        with pytest.raises(MassMismatchError, match="entries must be positive"):
+            build_problem(np.ones((2, 1)), [0.0, 1.0], [1.0])
+        with pytest.raises(MassMismatchError, match="entries must be positive"):
+            build_problem(np.ones((1, 2)), [1.0], [1.0, 0.0])
 
     def test_zero_total_rejected(self):
         with pytest.raises(MassMismatchError, match="positive total"):
             build_problem(np.ones((1, 1)), [0.0], [0.0])
+        # empty marginals have no zero entry, but no positive total either
+        with pytest.raises(MassMismatchError, match="positive total"):
+            build_problem(np.ones((0, 0)), [], [])
 
     def test_complex_input_rejected(self):
         # casting would drop the imaginary parts with only a ComplexWarning
@@ -197,10 +208,9 @@ class TestConstraintStructure:
 
 class TestAgainstLinprog:
     def test_random_instances_match_highs(self):
-        # HiGHS solves the dense LP. n != m and zero masses that leave rows
-        # and columns out of the tree. Small integers and distances on a
-        # small grid tie often; uniform costs do not, but their reduced costs
-        # can be small, where an early stop would show.
+        # HiGHS solves the dense LP, with n != m. Small integers and
+        # distances on a small grid tie often; uniform costs do not, but
+        # their reduced costs can be small, where an early stop would show.
         rng = np.random.default_rng(92)
         pivots = 0
         for trial in range(42):
@@ -214,9 +224,7 @@ class TestAgainstLinprog:
                 cost = pairwise_costs(u, v)
             else:
                 cost = rng.random((n, m))
-            supply, demand = rng.integers(0, 4, n).astype(float), rng.integers(0, 4, m).astype(float)
-            supply[-1] += 1.0
-            demand[0] += 1.0
+            supply, demand = rng.integers(1, 4, n).astype(float), rng.integers(1, 4, m).astype(float)
             problem = build_problem(cost, supply / supply.sum(), demand / demand.sum())
             A, b = materialize_constraints(problem)
             highs = linprog(cost.ravel(), A_eq=A, b_eq=b, method="highs")
@@ -271,24 +279,6 @@ class TestSolutionDistance:
         broken = dataclasses.replace(solution, dual=solution.dual + 1.0)
         with pytest.raises(DualityGapError, match="E_DUALITY_GAP"):
             solution_distance(broken)
-
-    def test_a_far_zero_mass_point_leaves_the_gap_check_tight(self):
-        # the gap limit took its scale from every cost, the far point's too:
-        # 1e-8 here against an objective of 1.05e-13, so an objective 1% off
-        # passed. Built as api builds it: costs scaled into [0.5, 1)
-        rng = np.random.default_rng(3)
-        pts_u, pts_v = rng.random((30, 2)), rng.random((30, 2))
-        u = normalize(validate(np.vstack([pts_u, [[1e12, 0.0]]]), np.append(np.ones(30), 0.0)))
-        v = normalize(validate(pts_v))
-        costs = pairwise_costs(u, v)
-        costs = np.ldexp(costs, -math.frexp(costs.max())[1])
-        solution = solve(build_problem(costs, u.weights, v.weights))
-        assert solution_distance(solution) == pytest.approx(solution.objective, rel=1e-12)
-        close = dataclasses.replace(solution, objective=solution.objective * (1 + 1e-15))
-        assert solution_distance(close) == pytest.approx(solution.objective, rel=1e-12)
-        off = dataclasses.replace(solution, objective=solution.objective + 1e-15)
-        with pytest.raises(DualityGapError):
-            solution_distance(off)
 
     def test_dual_matches_primal_objective(self):
         rng = np.random.default_rng(14)

@@ -18,6 +18,10 @@ It prints one line per pool with that pool's hash, so a difference can be
 traced to its pool, and then the ``fingerprint`` line, a hash over all of
 them. Two checkouts that print the same fingerprint computed the same
 distances, pivots and plans. It takes a few seconds.
+
+``tools/fingerprint.txt`` holds the seven lines the tool prints on the
+current tree, and CI diffs each leg's output against it. A change that
+moves results updates that file and explains in CHANGES.md why they moved.
 """
 
 import hashlib
