@@ -91,14 +91,14 @@ def wasserstein_distance(
         inputs are solved in closed form through the CDF gap integral;
         anything else goes through the built-in transportation simplex. The
         simplex solves only the residual problem: identical rows of both
-        sides are merged into one point carrying u's weight less v's, the
-        mass both sides hold there stays in place, which changes no distance
-        (Kantorovich-Rubinstein), and the points of positive net mass send
-        to those of negative net mass; points of zero net mass, zero-weight
-        points among them, take no part in the LP. ``iterations`` counts the
-        pivots of that problem. When no point has positive net mass, or none
-        negative (u and v hold equal weights at every point), nothing is
-        solved, and the distance is exactly 0.
+        sides are merged into one point, where each side holds the summed
+        weight of its copies; the mass both sides hold there stays in place,
+        which changes no distance (Kantorovich-Rubinstein), and the points
+        where u holds more send to those where v holds more; points where
+        both hold the same, zero-weight points among them, take no part in
+        the LP. ``iterations`` counts the pivots of that problem. When u
+        holds more at no point, or v at none (both hold equal weights at
+        every point), nothing is solved, and the distance is exactly 0.
         NaN coordinates make the distance undefined (``nan``); infinite
         coordinates on exactly one side make it ``inf``, on both sides
         undefined.
@@ -151,23 +151,22 @@ def wasserstein_distance(
             # with a metric cost, W1 depends on u - v alone (Kantorovich-Rubinstein;
             # Villani, Topics in Optimal Transportation, 2003, ch. 1): some
             # optimal plan keeps min(a, b) in place at every point where u holds
-            # a and v holds b. So both sides are merged at once, on the scaled
-            # points the costs see, with v's weights negated, and the LP solves
-            # only the residual problem: the points of positive net mass are
-            # the sources, those of negative net mass the sinks, and a point
-            # of net mass zero, zero-weight points included, takes no part.
-            # u's points are the first merged points, in order of first
+            # a and v holds b. So the rows of both sides are grouped at once,
+            # on the scaled points the costs see, each side's mass is summed
+            # over that one map in input order, and the LP solves only the
+            # residual problem: the points where u holds more are the sources,
+            # those where v holds more the sinks, and a point where both hold
+            # the same, zero-weight points included, takes no part.
+            # u's points are the first grouped points, in order of first
             # occurrence, so with no shared point the problem is that of the
             # two sides merged apart, less their zero-weight points, bit for bit
             n = u_dist.size
-            stacked = replace(u_dist, points=np.concatenate([u_dist.points, v_dist.points]),
-                              weights=np.concatenate([u_dist.weights, -v_dist.weights]))
-            merged, group = merge_duplicates(stacked)
-            at = np.arange(merged.size) if group is None else group
-            held = np.minimum(np.bincount(at[:n], u_dist.weights, merged.size),
-                              np.bincount(at[n:], v_dist.weights, merged.size))
-            rows, cols = np.flatnonzero(merged.weights > 0.0), np.flatnonzero(merged.weights < 0.0)
-            supply, demand = merged.weights[rows], -merged.weights[cols]
+            points, group = merge_duplicates(np.concatenate([u_dist.points, v_dist.points]))
+            u_mass = np.bincount(group[:n], u_dist.weights, len(points))
+            v_mass = np.bincount(group[n:], v_dist.weights, len(points))
+            held, net = np.minimum(u_mass, v_mass), u_mass - v_mass
+            rows, cols = np.flatnonzero(net > 0.0), np.flatnonzero(net < 0.0)
+            supply, demand = net[rows], -net[cols]
             totals = supply.sum(), demand.sum()
             if min(totals) > 0.0:
                 if held.any():
@@ -178,8 +177,8 @@ def wasserstein_distance(
                     # times a cost, the full problem's rounding level
                     top = max(totals)
                     supply, demand = supply * (top / totals[0]), demand * (top / totals[1])
-                costs = pairwise_costs(replace(merged, points=merged.points[rows], weights=supply),
-                                       replace(merged, points=merged.points[cols], weights=demand))
+                costs = pairwise_costs(replace(u_dist, points=points[rows], weights=supply),
+                                       replace(v_dist, points=points[cols], weights=demand))
                 # solve on costs in [0.5, 1), scaled by a power of two so that no
                 # cost is rounded: the solver's tolerances follow any cost scale,
                 # but its potentials are bounded only by measurement (the
@@ -195,13 +194,13 @@ def wasserstein_distance(
                 # one side holds no net mass: all of it stays in place
                 distance, moved = 0.0, TransportPlan(0, 0, rows[:0], cols[:0], supply[:0])
             if want_plan:
-                # with no shared point and no repeat, the sources and sinks are
-                # the input points of positive weight themselves
-                if group is None:
+                # with nothing merged, the sources and sinks are the input
+                # points of positive weight themselves
+                if len(points) == group.size:
                     plan = TransportPlan(n, v_dist.size, rows[moved.rows], cols[moved.cols] - n, moved.mass)
                 else:
-                    plan = _split_plan(moved, rows, cols, held, u_dist.weights, at[:n],
-                                       v_dist.weights, at[n:])
+                    plan = _split_plan(moved, rows, cols, held, u_dist.weights, group[:n],
+                                       v_dist.weights, group[n:])
         # past the float maximum the distance reads inf; math.ldexp would raise
         with np.errstate(over="ignore"):
             distance = float(np.ldexp(distance, scale))
@@ -218,12 +217,13 @@ def _split_plan(moved, rows, cols, held, u_weights, u_group, v_weights, v_group)
 
     ``moved`` indexes the residual sources ``rows`` and sinks ``cols``, which
     are merged points; ``held[p]`` is the mass kept in place at merged point
-    p, and ``u_group`` and ``v_group`` give the merged point of each input
-    point. The plan over the merged points, ``moved`` plus one entry per
-    point that holds mass, is split among the members of its merged points,
-    rows first, then columns (``_split``), so a basic plan becomes one of at
-    most n + m - 1 entries, and a point of zero weight gets no flow. Entries
-    come in row-major order.
+    p. ``u_group`` and ``v_group`` are the u and v parts of the one group map
+    over both sides' rows: the merged point of each input point. The plan
+    over the merged points, ``moved`` plus one entry per point that holds
+    mass, is split among the members of its merged points, rows first, then
+    columns (``_split``), so a basic plan becomes one of at most n + m - 1
+    entries, and a point of zero weight gets no flow. Entries come in
+    row-major order.
     """
     kept = np.flatnonzero(held)
     entry, rows, mass = _split(

@@ -1,4 +1,4 @@
-"""Weighted point sets: validation, normalization, merging repeats, finiteness classification.
+"""Weighted point sets: validation, normalization, grouping repeats, finiteness classification.
 
 A distribution is a set of n support points in d dimensions with non-negative
 masses. Weights are accepted as counts or masses and are normalized to the
@@ -33,9 +33,9 @@ __all__ = [
 class DiscreteDistribution:
     """n weighted points in d dimensions.
 
-    ``points`` has shape (n, d), ``weights`` shape (n,). Arrays are read-only;
-    all operations return new instances. ``normalized`` is True once weights
-    have been scaled to sum to one.
+    ``points`` has shape (n, d), ``weights`` shape (n,), every weight
+    non-negative. Arrays are read-only; all operations return new instances.
+    ``normalized`` is True once weights have been scaled to sum to one.
     """
 
     points: np.ndarray
@@ -60,14 +60,15 @@ def as_float_array(values, error, name: str) -> np.ndarray:
     """``values`` as a float64 array, not copied if it is one already.
 
     Raises ``error``, a ValidationError subclass, for values that are not
-    real numbers: a complex array would lose its imaginary part.
+    real numbers: a complex array would lose its imaginary part. An int
+    past the float range is not one either.
     """
     try:
         arr = np.asarray(values)
         if arr.dtype.kind == "c":
             raise TypeError("complex values are not real numbers")
         return arr.astype(np.float64, copy=False)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise error(f"{name} is not a real numeric array: {exc}") from None
 
 
@@ -120,20 +121,15 @@ def normalize(dist: DiscreteDistribution) -> DiscreteDistribution:
     return DiscreteDistribution(dist.points, _freeze(w), normalized=True)
 
 
-def merge_duplicates(dist: DiscreteDistribution):
-    """Merge identical points into one that carries their summed weight.
+def merge_duplicates(points: np.ndarray):
+    """Group identical rows of ``points``, shape (n, d).
 
-    Returns ``(merged, group)``: ``group[x]`` is the merged point of input
-    point x, and merged points come in order of first occurrence, each at
-    its first occurrence's coordinates. Weights may be signed: the positive
-    and the negative ones are each summed in input order, then the two sums
-    are added, so copies whose weights cancel exactly give a point of net
-    weight zero, which carries none. A point of zero weight is merged like
-    any other. With no repeated point, returns ``(dist, None)``, ``dist``
-    itself. Rows are identical when they compare equal coordinate for
-    coordinate, so 0.0 and -0.0 merge.
+    Returns ``(merged, group)``: ``merged`` holds each distinct row once, in
+    order of first occurrence, and ``group[x]`` is the index in ``merged`` of
+    row x. With no repeated row, returns ``points`` itself and the identity
+    map. Rows are identical when they compare equal coordinate for
+    coordinate, so 0.0 and -0.0 merge, at the first occurrence's coordinates.
     """
-    points = dist.points
     # a stable sort puts identical rows next to each other, each run in input order
     order = np.lexsort(points.T)
     ranked = points[order]
@@ -141,16 +137,14 @@ def merge_duplicates(dist: DiscreteDistribution):
     starts[0] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
     if starts.all():
-        return dist, None
+        return points, np.arange(order.size, dtype=np.intp)
     # each run's first occurrence; runs are numbered in the order of these
     firsts = order[starts]
     kept = np.zeros(order.size, dtype=bool)
     kept[firsts] = True
     group = np.empty_like(order)
     group[order] = (np.cumsum(kept) - 1)[firsts][np.cumsum(starts) - 1]
-    w = dist.weights
-    weights = np.bincount(group, np.maximum(w, 0.0)) - np.bincount(group, np.maximum(-w, 0.0))
-    return DiscreteDistribution(_freeze(points[kept]), _freeze(weights), dist.normalized), group
+    return points[kept], group
 
 
 class Finiteness(enum.Enum):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earthmover.distributions import (
-    DiscreteDistribution,
     Finiteness,
     as_float_array,
     classify_finiteness,
@@ -72,6 +71,11 @@ class TestValidate:
             validate([1 + 5j, 2])
         with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN: weights is not a real"):
             validate([0, 1], np.array([1, 1 + 0j]))
+        # an int past the float range would escape as a raw OverflowError
+        with pytest.raises(ShapeError, match="E_SHAPE: points is not a real numeric array"):
+            validate([[10**400, 0]])
+        with pytest.raises(WeightLengthError, match="E_WEIGHT_LEN: weights is not a real"):
+            validate([0, 1], [10**400, 1])
 
     def test_float64_input_is_converted_without_a_copy(self):
         values = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -148,39 +152,24 @@ class TestNormalize:
 
 class TestMergeDuplicates:
     def test_no_repeats_returns_the_input_itself(self):
-        dist = validate([[0, 1], [1, 0], [0, 0]], [1, 2, 3])
-        merged, group = merge_duplicates(dist)
-        assert merged is dist
-        assert group is None
+        points = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        merged, group = merge_duplicates(points)
+        assert merged is points
+        assert group.dtype == np.intp
+        assert group.tolist() == [0, 1, 2]
 
     def test_groups_in_order_of_first_occurrence(self):
-        dist = validate([[2, 0], [0, 1], [2, 0], [-0.0, 1], [5, 5], [0, 1]], [1, 2, 0, 4, 8, 16])
-        merged, group = merge_duplicates(dist)
+        points = np.array([[2, 0], [0, 1], [2, 0], [-0.0, 1], [5, 5], [0, 1]])
+        merged, group = merge_duplicates(points)
+        assert group.dtype == np.intp
         assert group.tolist() == [0, 1, 0, 1, 2, 1]
-        np.testing.assert_array_equal(merged.points, [[2, 0], [0, 1], [5, 5]])
-        np.testing.assert_array_equal(merged.weights, [1, 22, 8])
-        assert not merged.points.flags.writeable and not merged.weights.flags.writeable
-
-    def test_weights_summed_in_input_order(self):
-        # (0.1 + 0.2) + 0.3 is 0.6000000000000001, (0.3 + 0.2) + 0.1 is 0.6
-        merged, _ = merge_duplicates(validate([[1.0], [1.0], [2.0], [1.0]], [0.1, 0.2, 0.4, 0.3]))
-        assert merged.weights.tolist() == [0.6000000000000001, 0.4]
-        merged, _ = merge_duplicates(validate([[1.0], [1.0], [2.0], [1.0]], [0.3, 0.2, 0.4, 0.1]))
-        assert merged.weights.tolist() == [0.6, 0.4]
-
-    def test_signed_weights_that_cancel_net_exactly_zero(self):
-        # one running sum reads 0.1 + 0.2 - 0.1 - 0.2 = 2.8e-17; the positive
-        # and the negative weights are summed apart
-        dist = DiscreteDistribution(np.array([[1.0], [1.0], [2.0], [1.0], [1.0]]),
-                                    np.array([0.1, 0.2, 0.5, -0.1, -0.2]))
-        merged, group = merge_duplicates(dist)
-        assert group.tolist() == [0, 0, 1, 0, 0]
-        assert merged.weights.tolist() == [0.0, 0.5]
+        np.testing.assert_array_equal(merged, [[2, 0], [0, 1], [5, 5]])
+        # a group keeps its first occurrence's coordinates: 0.0, not -0.0
+        assert not np.signbit(merged[1, 0])
 
     def test_every_row_the_same(self):
-        merged, group = merge_duplicates(validate(np.ones((5, 3))))
-        assert merged.points.shape == (1, 3)
-        assert merged.weights.tolist() == [5.0]
+        merged, group = merge_duplicates(np.ones((5, 3)))
+        assert merged.shape == (1, 3)
         assert group.tolist() == [0] * 5
 
 

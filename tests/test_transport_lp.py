@@ -158,6 +158,8 @@ class TestBuildProblem:
             ("cost", (cost + 1j, supply, demand)),
             ("supply", (cost, supply + 0j, demand)),
             ("demand", (cost, supply, demand.astype(complex))),
+            # an int past the float range would escape as a raw OverflowError
+            ("cost", ([[10**400]], [1.0], [1.0])),
         ]:
             with pytest.raises(ShapeError, match=f"E_SHAPE: {name} is not a real numeric array"):
                 build_problem(*args)
