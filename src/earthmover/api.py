@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cdf1d import cdf_distance_1d, greedy_plan_1d
+from .cdf1d import cdf_distance_1d, greedy_plan_1d, monotone_coupling
 from .distributions import (
     Finiteness, as_float_array, classify_finiteness, merge_duplicates, normalize, validate,
 )
@@ -242,12 +242,13 @@ def _split(owner, mass, group, weights):
     Entry k carries ``mass[k]`` at merged point ``owner[k]``; ``group[x]``
     is the merged point of input point x. A merged point's members are its
     input points of positive weight, in input order. The merged points are
-    laid one after another on one mass axis, in index order. Each one's
-    stretch is cut twice: at the ends of its entries, in plan order, and at
-    its members' running weights, capped at the stretch's end, which the
-    last member reaches, so it takes the remainder. Each piece between two
-    cuts lies in one entry and one member and moves its width there.
-    Returns (entry, member, mass) arrays, one element per piece.
+    laid one after another on one mass axis, in index order, and each one's
+    stretch is anchored here: its entries hold consecutive intervals, in plan
+    order, and its members end at their running weights, capped at the
+    stretch's end, which the last member reaches, so it takes the remainder.
+    The shared rule ``monotone_coupling`` cuts the pieces; each lies in one
+    entry and one member and moves its width there. Returns (entry, member,
+    mass) arrays, one element per piece.
     """
     order = np.argsort(owner, kind="stable")
     owners = owner[order]
@@ -263,6 +264,4 @@ def _split(owner, mass, group, weights):
     within = running[1:] - running[np.searchsorted(at, at)]
     last = np.append(at[1:] != at[:-1], True)
     cuts = np.where(last, end, np.minimum(start + within, end))
-    pieces = np.unique(np.concatenate([ends, cuts]))
-    entry = order[np.searchsorted(ends[1:], pieces[1:])]
-    return entry, members[np.searchsorted(cuts, pieces[1:])], np.diff(pieces)
+    return monotone_coupling(order, ends[1:], members, cuts)

@@ -7,6 +7,11 @@ side once and merging the two sorted runs once; each side's CDF is its
 running weight along the merged order, read at the end of each run of tied
 positions. ``greedy_plan_1d`` builds the monotone plan of the same cost
 from the quantile form of that integral.
+
+``monotone_coupling`` is the north-west corner rule that cuts a plan along
+a mass axis. It is the plan rule of both paths: ``greedy_plan_1d`` applies
+it to the two sides' cumulative weights, and the LP path's plan split
+(``api._split``) to a merged point's plan entries and copies.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, normalize
 from .transport_lp import TransportPlan
 
-__all__ = ["MergedSupport", "merged_support", "cdf_distance_1d", "greedy_plan_1d"]
+__all__ = ["MergedSupport", "merged_support", "monotone_coupling", "cdf_distance_1d", "greedy_plan_1d"]
 
 
 @dataclass(frozen=True)
@@ -101,22 +106,34 @@ def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
     return float(np.sum(gap))
 
 
+def monotone_coupling(a_order, a_ends, b_order, b_ends):
+    """North-west corner rule: the monotone coupling of two cuts of one mass axis.
+
+    Member k of a holds ``(a_ends[k - 1], a_ends[k]]`` and is ``a_order[k]``,
+    likewise for b; both ends arrays are non-decreasing. 0 and every end,
+    capped at the smaller last end, cut the axis into pieces, so the tail
+    past that end is dropped. Each piece lies in one member of either side,
+    the first whose end reaches its upper cut, and moves its width there; an
+    interval of zero width gets no piece. Returns (a_member, b_member, width)
+    arrays, one element per piece, in mass-axis order.
+    """
+    cuts = np.unique(np.minimum(np.concatenate([[0.0], a_ends, b_ends]), min(a_ends[-1], b_ends[-1])))
+    upper = cuts[1:]
+    return a_order[np.searchsorted(a_ends, upper)], b_order[np.searchsorted(b_ends, upper)], np.diff(cuts)
+
+
 def greedy_plan_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> TransportPlan:
     """Optimal 1D plan: the monotone coupling of the two quantile functions.
 
-    0 and both sides' cumulative weights (stable position order, capped at the
-    smaller total) cut the mass axis into intervals. Each interval moves its
-    width between the first points of either side whose cumulative weight
-    reaches its upper cut, so a zero-weight point gets no flow. Entries come
-    in quantile order; indices refer to the original input order.
+    Each side's points, in stable position order, hold consecutive intervals
+    of the mass axis, as wide as their weights; ``monotone_coupling`` cuts
+    the axis at both sides' cumulative weights, so a zero-weight point gets
+    no flow. Entries come in quantile order; indices refer to the original
+    input order.
     """
     u, v = normalize(u), normalize(v)
     u_order = np.argsort(u.points[:, 0], kind="stable")
     v_order = np.argsort(v.points[:, 0], kind="stable")
     u_cum = np.cumsum(u.weights[u_order])
     v_cum = np.cumsum(v.weights[v_order])
-    top = min(u_cum[-1], v_cum[-1])
-    cuts = np.unique(np.minimum(np.concatenate([[0.0], u_cum, v_cum]), top))
-    rows = u_order[np.searchsorted(u_cum, cuts[1:])]
-    cols = v_order[np.searchsorted(v_cum, cuts[1:])]
-    return TransportPlan(u.size, v.size, rows, cols, np.diff(cuts))
+    return TransportPlan(u.size, v.size, *monotone_coupling(u_order, u_cum, v_order, v_cum))

@@ -34,13 +34,20 @@ class DiscreteDistribution:
     """n weighted points in d dimensions.
 
     ``points`` has shape (n, d), ``weights`` shape (n,), every weight
-    non-negative. Arrays are read-only; all operations return new instances.
-    ``normalized`` is True once weights have been scaled to sum to one.
+    non-negative. ``normalized`` is True once weights have been scaled to sum
+    to one. Read-only by construction: the constructor takes over the arrays
+    it is given and makes them read-only, so every instance, one made by
+    ``dataclasses.replace`` included, has read-only arrays. Pass arrays no
+    one else writes to; all operations return new instances.
     """
 
     points: np.ndarray
     weights: np.ndarray
     normalized: bool = False
+
+    def __post_init__(self):
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -49,11 +56,6 @@ class DiscreteDistribution:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def as_float_array(values, error, name: str) -> np.ndarray:
@@ -110,7 +112,7 @@ def validate(points, weights=None) -> DiscreteDistribution:
             raise WeightSumError(f"weight sum must be positive and finite, got {total}")
         w = w.copy()
 
-    return DiscreteDistribution(_freeze(pts.copy()), _freeze(w))
+    return DiscreteDistribution(pts.copy(), w)
 
 
 def normalize(dist: DiscreteDistribution) -> DiscreteDistribution:
@@ -118,7 +120,7 @@ def normalize(dist: DiscreteDistribution) -> DiscreteDistribution:
     if dist.normalized:
         return dist
     w = dist.weights / dist.weights.sum()
-    return DiscreteDistribution(dist.points, _freeze(w), normalized=True)
+    return DiscreteDistribution(dist.points, w, normalized=True)
 
 
 def merge_duplicates(points: np.ndarray):

@@ -732,6 +732,20 @@ class TestSharedMass:
             assert demand.tobytes() == summed_in_input_order(v, v_w).tobytes()
             assert (supply > 0.0).all() and (demand > 0.0).all()
 
+    def test_distributions_reaching_pairwise_costs_are_read_only(self, monkeypatch):
+        # the residual distributions are made by dataclasses.replace, and
+        # keep the read-only arrays every distribution promises
+        seen = []
+
+        def spy(u, v):
+            seen.extend([u.points, u.weights, v.points, v.weights])
+            return pairwise_costs(u, v)
+
+        monkeypatch.setattr(earthmover.api, "pairwise_costs", spy)
+        wasserstein_distance([[0, 0], [1, 1]], [[2, 2]])
+        assert len(seen) == 4
+        assert not any(arr.flags.writeable for arr in seen)
+
     def test_identical_sides_read_exactly_zero(self):
         rng = np.random.default_rng(21)
         for _ in range(50):

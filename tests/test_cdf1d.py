@@ -1,4 +1,4 @@
-"""One-dimensional path: CDF gap integral and the greedy plan oracle."""
+"""One-dimensional path: CDF gap integral, the monotone coupling and the greedy plan oracle."""
 
 import tracemalloc
 
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from earthmover import cdf1d
-from earthmover.cdf1d import MergedSupport, cdf_distance_1d, greedy_plan_1d, merged_support
+from earthmover.cdf1d import (
+    MergedSupport, cdf_distance_1d, greedy_plan_1d, merged_support, monotone_coupling,
+)
 from earthmover.distributions import normalize, validate
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import solve
@@ -187,6 +189,72 @@ class TestMergedSupport:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * (n + m)
+
+
+def loop_coupling(a_order, a_ends, b_order, b_ends):
+    """Reference north-west corner rule: walk both members' widths, moving the smaller remainder."""
+    remaining_a = np.diff(a_ends, prepend=0.0).tolist()
+    remaining_b = np.diff(b_ends, prepend=0.0).tolist()
+    pieces = []
+    i = j = 0
+    while i < len(remaining_a) and j < len(remaining_b):
+        width = min(remaining_a[i], remaining_b[j])
+        if width > 0:
+            pieces.append((int(a_order[i]), int(b_order[j]), width))
+        remaining_a[i] -= width
+        remaining_b[j] -= width
+        if remaining_a[i] == 0.0:
+            i += 1
+        if remaining_b[j] == 0.0:
+            j += 1
+    return tuple(np.array([piece[k] for piece in pieces]) for k in range(3))
+
+
+def eighths(rng, k):
+    """k member ends on the mass axis, a permutation of k labels: widths of 0 to 4 eighths.
+
+    Every end is a small multiple of 1/8, so every sum and difference of
+    them is exact.
+    """
+    return rng.permutation(k) + 100, np.cumsum(rng.integers(0, 5, k) / 8)
+
+
+class TestMonotoneCoupling:
+    def test_matches_north_west_corner_loop_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            a = eighths(rng, int(rng.integers(1, 12)))
+            b = eighths(rng, int(rng.integers(1, 12)))
+            got, want = monotone_coupling(*a, *b), loop_coupling(*a, *b)
+            for got_array, want_array in zip(got, want):
+                assert got_array.tolist() == want_array.tolist()
+
+    def test_tail_past_the_smaller_last_end_is_dropped(self):
+        a_member, b_member, width = monotone_coupling(
+            np.array([7, 8]), np.array([0.5, 1.0]), np.array([3, 4]), np.array([0.25, 0.5])
+        )
+        assert a_member.tolist() == [7, 7]
+        assert b_member.tolist() == [3, 4]
+        assert width.tolist() == [0.25, 0.25]
+
+    def test_zero_width_intervals_get_no_piece(self):
+        # a's members 0 and 2 and b's member 1 hold no mass; the repeated
+        # ends 0.25 and 0.5 of the two sides cut no second piece
+        a_member, b_member, width = monotone_coupling(
+            np.arange(4), np.array([0.0, 0.5, 0.5, 1.0]), np.arange(3), np.array([0.25, 0.25, 1.0])
+        )
+        assert a_member.tolist() == [1, 1, 3]
+        assert b_member.tolist() == [0, 2, 2]
+        assert width.tolist() == [0.25, 0.25, 0.5]
+
+    def test_widths_sum_to_the_smaller_last_end(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            a = eighths(rng, int(rng.integers(1, 12)))
+            b = eighths(rng, int(rng.integers(1, 12)))
+            width = monotone_coupling(*a, *b)[2]
+            assert (width > 0.0).all()
+            assert width.sum() == min(a[1][-1], b[1][-1])
 
 
 class TestGreedyPlan:

@@ -1,5 +1,7 @@
 """Validation, normalization, and finiteness classification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,9 +102,12 @@ class TestValidate:
         assert dist.weights[1] == 0.0
 
     def test_arrays_are_read_only(self):
-        dist = validate([0, 1, 3])
-        with pytest.raises(ValueError):
-            dist.points[0, 0] = 99.0
+        # an instance made by dataclasses.replace is read-only too
+        for dist in (validate([0, 1, 3]), replace(validate([0, 1, 3]), points=np.zeros((3, 1)))):
+            with pytest.raises(ValueError):
+                dist.points[0, 0] = 99.0
+            with pytest.raises(ValueError):
+                dist.weights[0] = 99.0
 
 
 class TestNormalize:
