@@ -72,7 +72,7 @@ def wasserstein_distance(
     u_weights, v_weights : array_like, optional
         Weights or counts for each observation. If unspecified, every
         observation gets the same weight. Weights must be non-negative with a
-        positive finite sum; they are normalized to total mass one before the
+        positive finite sum; each side is scaled to total mass one before the
         distance is computed.
     want_plan : bool, optional
         Attach the optimal plan, only for finite distances: a ``TransportPlan``
@@ -128,8 +128,9 @@ def wasserstein_distance(
     path = PATH_CDF1D if flat_inputs else PATH_LP
     plan, iterations = None, 0
     special = classify_finiteness(u_dist, v_dist)
-    # one at a time: u's unnormalized weights are freed before v's new ones
-    # are made, which keeps the peak memory of large 1D calls down
+    # the one place that scales weights to total mass one, once a side and
+    # one side at a time: u's weights as given are freed before v's scaled
+    # ones are made, which keeps the peak memory of large 1D calls down
     u_dist = normalize(u_dist)
     v_dist = normalize(v_dist)
     if special is not Finiteness.FINITE:
@@ -183,7 +184,11 @@ def wasserstein_distance(
                 # cost is rounded: the solver's tolerances follow any cost scale,
                 # but its potentials are bounded only by measurement (the
                 # OPTIMALITY_TOL comment), and costs near 2^1022 would leave them
-                # about one bit of headroom
+                # about one bit of headroom. The point scale cannot take this
+                # over: beside a coordinate near 2^998, differences of a few
+                # 2^-1074 give subnormal costs, and potentials summed from
+                # them round on the subnormal grid, far coarser than the
+                # tolerances at that cost scale
                 _, exponent = math.frexp(float(costs.max()))
                 np.ldexp(costs, -exponent, out=costs)
                 solution = solve(build_problem(costs, supply, demand))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, normalize
+from .distributions import DiscreteDistribution
 from .transport_lp import TransportPlan
 
 __all__ = ["MergedSupport", "merged_support", "monotone_coupling", "cdf_distance_1d", "greedy_plan_1d"]
@@ -128,10 +128,11 @@ def greedy_plan_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> Transpor
     Each side's points, in stable position order, hold consecutive intervals
     of the mass axis, as wide as their weights; ``monotone_coupling`` cuts
     the axis at both sides' cumulative weights, so a zero-weight point gets
-    no flow. Entries come in quantile order; indices refer to the original
-    input order.
+    no flow. The weights are coupled as given, up to the smaller total:
+    ``wasserstein_distance`` passes both sides scaled to total mass one.
+    Entries come in quantile order; indices refer to the original input
+    order.
     """
-    u, v = normalize(u), normalize(v)
     u_order = np.argsort(u.points[:, 0], kind="stable")
     v_order = np.argsort(v.points[:, 0], kind="stable")
     u_cum = np.cumsum(u.weights[u_order])

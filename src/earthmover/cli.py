@@ -1,9 +1,10 @@
 """Command-line front end: file-based distance computation and a timing benchmark.
 
-Input point sets are headerless CSV (one observation per row, comma-delimited,
-decimal point only); single-column files are treated as one-dimensional
-samples. Exit codes: 0 success, 2 validation error, 3 solver failure, 4 I/O
-or parse failure.
+Input point sets are CSV in UTF-8, with or without a byte-order mark, and
+headerless unless ``--header`` is given (one observation per row,
+comma-delimited, decimal point only); single-column files are treated as
+one-dimensional samples. Exit codes: 0 success, 2 validation error, 3 solver
+failure, 4 I/O or parse failure.
 
 ``bench`` writes one CSV row per trial, whose ``wall_time_ns`` is the time
 ``wasserstein_distance`` measures itself, and one summary row per size.
@@ -34,7 +35,8 @@ class _CsvError(ValueError):
 
 def _read_rows(path, skip_header):
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the byte-order mark some spreadsheets write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             records = csv.reader(fh)
             if skip_header:
                 next(records, None)

@@ -1,9 +1,9 @@
 """Weighted point sets: validation, normalization, grouping repeats, finiteness classification.
 
 A distribution is a set of n support points in d dimensions with non-negative
-masses. Weights are accepted as counts or masses and are normalized to the
-probability simplex before any distance computation, so both marginals of the
-transport problem always balance.
+masses. Weights are accepted as counts or masses; ``wasserstein_distance``
+normalizes each side once to the probability simplex before any distance
+computation, so both marginals of the transport problem always balance.
 """
 
 import enum
@@ -34,16 +34,15 @@ class DiscreteDistribution:
     """n weighted points in d dimensions.
 
     ``points`` has shape (n, d), ``weights`` shape (n,), every weight
-    non-negative. ``normalized`` is True once weights have been scaled to sum
-    to one. Read-only by construction: the constructor takes over the arrays
-    it is given and makes them read-only, so every instance, one made by
-    ``dataclasses.replace`` included, has read-only arrays. Pass arrays no
-    one else writes to; all operations return new instances.
+    non-negative, as given: ``normalize`` returns the distribution scaled to
+    total mass one. Read-only by construction: the constructor takes over
+    the arrays it is given and makes them read-only, so every instance, one
+    made by ``dataclasses.replace`` included, has read-only arrays. Pass
+    arrays no one else writes to; all operations return new instances.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.points.flags.writeable = False
@@ -116,11 +115,12 @@ def validate(points, weights=None) -> DiscreteDistribution:
 
 
 def normalize(dist: DiscreteDistribution) -> DiscreteDistribution:
-    """Scale weights to total mass one. Idempotent; points are untouched."""
-    if dist.normalized:
-        return dist
-    w = dist.weights / dist.weights.sum()
-    return DiscreteDistribution(dist.points, w, normalized=True)
+    """Scale weights to total mass one; points are untouched.
+
+    Divides on every call, so a second call may move a weight by an ulp:
+    normalize a distribution once.
+    """
+    return DiscreteDistribution(dist.points, dist.weights / dist.weights.sum())
 
 
 def merge_duplicates(points: np.ndarray):

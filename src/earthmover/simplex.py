@@ -78,15 +78,16 @@ neither does its potential, and every potential stays equal, bit for bit, to
 the one a fresh ``SpanningTree(cost, parent, flow)`` would derive.
 
 A pivot touches only the cycle and the moved subtree, measured per pivot on
-the benchmark's seed-1 pools: on 128 x 128 assignments, a cycle of a median
-of 21 nodes below the apex (mean 23) and a moved subtree of a median of 2
-nodes (mean 19); on the weighted points of an 8 x 8 grid, which reach the
-solver merged into 48 to 62 distinct points a side, a median of 9 (mean 9.5)
-and of 19 (mean 30). So the tree update is scalar walks over the lists, as
-in LEMON's network simplex: the walk up the cycle by depth, which also makes
-the ratio test; the flow shift over the cycle and the re-rooting over the
-path; and one walk of the moved subtree down ``kids``, which sets its depths
-and potentials (no other depth or potential changes). That walk stays scalar
+the benchmark's seed-1 and seed-7 pools: on 128 x 128 assignments, a cycle of
+a median of 19 to 21 nodes below the apex (mean 22 to 24) and a moved
+subtree of a median of 2 nodes (mean 18 to 20); on the weighted points of an
+8 x 8 grid, which reach the solver as residual problems of 27 to 41 sources
+and 22 to 37 sinks, a median of 9 (mean 10) and of 11 to 12 (mean 17). So
+the tree update is scalar walks over the lists, as in LEMON's network
+simplex: the walk up the cycle by depth, which also makes the ratio test;
+the flow shift over the cycle and the re-rooting over the path; and one walk
+of the moved subtree down ``kids``, which sets its depths and potentials (no
+other depth or potential changes). That walk stays scalar
 however large the subtree, because each potential is computed from its
 parent's. NumPy does only the pricing, one block of at most about
 BLOCK_CELLS cells at a time.
@@ -132,15 +133,15 @@ __all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 # test on the costs scaled by 2^-e, whose largest magnitude lies in [0.5, 1),
 # and the rest of this comment speaks of those. A potential is edge -
 # potential[parent], so it is off by at most half an ulp of each potential on
-# its path to the root: depth * 2^-55 while potentials stay below 0.5. A
+# its path to the root: depth * 2^-54 while potentials stay below 1. A
 # reduced cost adds two of these and two roundings of its own, so its noise
-# stays below this tolerance in trees up to ~1800 deep. Depths and potentials
-# are measured, not bounded: the deepest tree seen was 491 (uniform 2048 x
-# 2048, sampled every 200 pivots), 101 on the bench pools of lp_assignment
-# and lp_weighted (seeds 1 and 7, every pivot), with potentials below 0.47 and
-# within 2.7e-16 of their exact values. On the pools every entering cell had
-# a negative exact reduced cost, the smallest in magnitude 5.1e-7, so no
-# zero-gain cell entered.
+# stays below this tolerance in trees up to ~900 deep. Depths and potentials
+# are measured at every pivot, not bounded: the deepest tree seen was 491,
+# with potentials below 0.95 (uniform 2048 x 2048 from default_rng(5)); on
+# the bench pools of lp_assignment and lp_weighted (seeds 1 and 7) 101, with
+# potentials below 0.91 and within 3.3e-16 of their exact values. On the
+# pools every entering cell had a negative exact reduced cost, the smallest
+# in magnitude 5.1e-7, so no zero-gain cell entered.
 OPTIMALITY_TOL = 1e-13
 # Cells priced per block, as whole rows: ceil(BLOCK_CELLS / m) of them. A
 # small block pays NumPy's fixed cost per call more often and takes more

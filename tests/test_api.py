@@ -214,6 +214,19 @@ class TestSpecialValues:
         assert result.path == "cdf1d"
         assert result.distance == 2**-1073
 
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_subnormal_costs_are_solved_exactly(self, seed):
+        # every cost is subnormal even on the scaled points; the LP solves them
+        # scaled into [0.5, 1), where a solve on the subnormal costs themselves
+        # raised DualityGapError for each of these seeds
+        rng = np.random.default_rng(seed)
+        k_u, k_v = (rng.integers(1, 64, 6 + seed).astype(float) for _ in range(2))
+        u, v = ([[2.0**998, math.ldexp(k, -1074)] for k in ks] for ks in (k_u, k_v))
+        result = wasserstein_distance(u, v)
+        assert result.path == "lp"
+        expected = math.ldexp(wasserstein_distance(k_u, k_v).distance, -1074)
+        assert abs(result.distance - expected) <= 5e-324
+
     def test_classification_happens_before_solving(self):
         # huge point counts would be slow to solve; classification short-circuits
         result = wasserstein_distance([np.inf] + [0.0] * 5000, list(range(5001)))

@@ -315,6 +315,12 @@ class TestGreedyPlan:
             assert (self_plan.rows == self_plan.cols).all()
             assert self_plan.cost(pairwise_costs(u, u)) == 0.0
 
+    def test_couples_the_weights_it_is_given(self):
+        # unnormalized: the plan moves the weights themselves, not fractions of them
+        plan = greedy_plan_1d(validate([0, 1], [1, 3]), validate([0.5, 2], [2, 2]))
+        np.testing.assert_array_equal(plan.source_marginals(), [1.0, 3.0])
+        np.testing.assert_array_equal(plan.target_marginals(), [2.0, 2.0])
+
     def test_five_versus_four_point_instance(self):
         rng = np.random.default_rng(99)
         u = dist1d(rng.normal(size=5) * 3, rng.random(5) + 0.1)

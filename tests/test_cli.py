@@ -111,6 +111,20 @@ class TestSuccess:
         assert payload["distance"] == pytest.approx(0.25, rel=1e-12)
         assert payload["path"] == "cdf1d"
 
+    @pytest.mark.parametrize("option", ["--u", "--u-weights"])
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, option):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        files = {"--u": "0\n1\n3\n", "--v": "5\n6\n8\n", "--u-weights": "3\n1\n2\n"}
+        argv = [item for name, text in files.items()
+                for item in (name, write_csv(tmp_path / f"{name[2:]}.csv", text))]
+        _, plain, _ = run(capsys, *argv)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + files[option].encode())
+        argv[argv.index(option) + 1] = str(bom)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["distance"] == json.loads(plain)["distance"]
+
     def test_header_row_is_skipped(self, capsys, tmp_path):
         u = write_csv(tmp_path / "u.csv", "x,y\n0,0\n1,0\n")
         v = write_csv(tmp_path / "v.csv", "x,y\n0,1\n1,1\n")
@@ -207,6 +221,14 @@ class TestInputRejection:
         assert code == cli.EXIT_IO
         assert out == ""
         assert "field limit" in err
+
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path, square):
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "--u", str(latin), "--v", square[1])
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_two_column_weights_file(self, capsys, tmp_path, square):
         weights = write_csv(tmp_path / "w.csv", "1,2\n3,4\n")

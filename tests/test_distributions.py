@@ -125,13 +125,6 @@ class TestNormalize:
             dist.weights, np.array([0.4, 5.2, 0.114]) / 5.714, atol=1e-15
         )
 
-    def test_idempotent_exactly(self):
-        dist = validate([0.0, 2.0, 5.0], [0.3, 0.3, 0.1])
-        once = normalize(dist)
-        twice = normalize(once)
-        np.testing.assert_array_equal(twice.weights, once.weights)
-        assert twice.normalized
-
     def test_points_untouched(self):
         dist = validate([[1.5, 2.5]], [4.0])
         np.testing.assert_array_equal(normalize(dist).points, dist.points)
