@@ -17,17 +17,15 @@ from .transport_lp import TransportPlan, build_problem, solution_distance
 
 __all__ = ["DistanceResult", "wasserstein_distance"]
 
-PATH_CDF1D = "cdf1d"
-PATH_LP = "lp"
-
 
 @dataclass(frozen=True)
 class DistanceResult:
     """Outcome of a distance computation.
 
-    ``distance`` is a non-negative float, ``inf``, or ``nan``; ``finiteness``
-    states which of those cases holds explicitly, so undefined results never
-    hide behind a quiet NaN. It is not an argument: it is read off
+    Read the value from ``distance``: the result itself does not convert to
+    float. ``distance`` is a non-negative float, ``inf``, or ``nan``;
+    ``finiteness`` states which of those cases holds explicitly, so
+    undefined results never hide behind a quiet NaN. It is not an argument: it is read off
     ``distance``, so ``FINITE`` is never paired with ``inf`` or ``nan``.
     ``plan`` is attached only when requested and the distance is finite;
     it always indexes the input points. ``iterations`` counts the simplex
@@ -49,9 +47,6 @@ class DistanceResult:
         else:
             finiteness = Finiteness.INFINITE if math.isinf(self.distance) else Finiteness.UNDEFINED
         object.__setattr__(self, "finiteness", finiteness)
-
-    def __float__(self):
-        return self.distance
 
 
 def wasserstein_distance(
@@ -125,7 +120,7 @@ def wasserstein_distance(
             f"u has dimension {u_dist.dim} but v has dimension {v_dist.dim}"
         )
 
-    path = PATH_CDF1D if flat_inputs else PATH_LP
+    path = "cdf1d" if flat_inputs else "lp"
     plan, iterations = None, 0
     special = classify_finiteness(u_dist, v_dist)
     # the one place that scales weights to total mass one, once a side and
@@ -145,7 +140,7 @@ def wasserstein_distance(
         scale = top - 1022 + math.ceil(math.log2(u_dist.dim) / 2)
         u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -scale))
         v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -scale))
-        if path == PATH_CDF1D:
+        if flat_inputs:
             distance = cdf_distance_1d(u_dist, v_dist)
             plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
         else:

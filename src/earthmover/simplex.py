@@ -295,7 +295,7 @@ def initial_basis(problem: TransportProblem) -> SpanningTree:
     >>> tree.flows
     {(1, 1): 0.25, (0, 0): 0.5, (0, 1): 0.25}
     """
-    n, m = problem.n_sources, problem.n_targets
+    n, m = problem.cost.shape
     total = n + m
     # remaining mass of each line as a (mass, epsilon) pair
     left = problem.supply.tolist() + problem.demand.tolist()
@@ -379,7 +379,7 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
     of any size are solved alike, and either scaled by a power of two takes
     the same pivots to the same answer, scaled.
     """
-    cost, n, m = problem.cost, problem.n_sources, problem.n_targets
+    cost, (n, m) = problem.cost, problem.cost.shape
     tree = initial_basis(problem)
     pivot_limit = pivot_budget(n, m)
     tol = problem.tolerance(OPTIMALITY_TOL)

@@ -10,7 +10,8 @@ linear program
 
 The solver consumes the structured (cost, supply, demand) triple directly.
 The dense 0/1 constraint matrix of the same program, which a general LP solver
-would need, lives in the tests, where it serves as an oracle.
+would need, and the dense n x m form of a plan live in the tests, where they
+serve as oracles.
 """
 
 import math
@@ -48,18 +49,6 @@ class TransportProblem:
     supply: np.ndarray
     demand: np.ndarray
 
-    @property
-    def n_sources(self) -> int:
-        return self.cost.shape[0]
-
-    @property
-    def n_targets(self) -> int:
-        return self.cost.shape[1]
-
-    def rhs(self) -> np.ndarray:
-        """Stacked [supply; demand] right-hand side."""
-        return np.concatenate([self.supply, self.demand])
-
     def tolerance(self, tol: float) -> float:
         """``tol`` times 2^e, e the ``math.frexp`` exponent of the largest |cost|.
 
@@ -84,11 +73,6 @@ class TransportPlan:
 
     def target_marginals(self) -> np.ndarray:
         return np.bincount(self.cols, weights=self.mass, minlength=self.n_targets)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_sources, self.n_targets))
-        np.add.at(out, (self.rows, self.cols), self.mass)
-        return out
 
     def cost(self, cost_matrix: np.ndarray) -> float:
         return float(self.mass @ cost_matrix[self.rows, self.cols])
@@ -143,7 +127,7 @@ def build_problem(cost: np.ndarray, supply, demand) -> TransportProblem:
 
 
 def solution_distance(solution: TransportSolution) -> float:
-    """Distance read off the dual: rhs . dual, checked against the primal objective.
+    """Distance read off the dual: [supply; demand] . dual, checked against the primal objective.
 
     The two may differ by at most ``DUALITY_GAP_TOL`` times 2^e times the
     supply total, e the ``math.frexp`` exponent of the largest |cost|
@@ -151,7 +135,7 @@ def solution_distance(solution: TransportSolution) -> float:
     mass.
     """
     problem = solution.problem
-    value = float(problem.rhs() @ solution.dual)
+    value = float(np.concatenate([problem.supply, problem.demand]) @ solution.dual)
     gap = abs(value - solution.objective)
     if not gap <= problem.tolerance(DUALITY_GAP_TOL) * float(problem.supply.sum()):
         raise DualityGapError(

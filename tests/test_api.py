@@ -62,6 +62,20 @@ class TestReferenceValues:
         )
         assert result.distance == pytest.approx(174.15840245217169, rel=1e-9)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 10: the LP distance is read off the dual, whose terms "
+        "are as large as the largest cost, so the sum cancels when the distance is "
+        "far smaller",
+    )
+    @pytest.mark.parametrize("far", [1e3, 1e6, 1e8])
+    def test_small_distance_beside_large_costs(self, far):
+        # each u point has its v point 1e-10 above it, and the two pairs lie
+        # ``far`` apart: the distance is 1e-10, the largest cost about ``far``
+        result = wasserstein_distance([[0.0, 0.0], [far, 0.0]], [[0.0, 1e-10], [far, 1e-10]])
+        assert result.distance == pytest.approx(1e-10, rel=1e-12, abs=0.0)
+
 
 class TestDispatch:
     def test_flat_inputs_take_cdf_path(self):
@@ -91,10 +105,8 @@ class TestDispatch:
             assert cdf.path == "cdf1d" and lp.path == "lp"
             assert abs(cdf.distance - lp.distance) <= 1e-8
 
-    def test_float_conversion_and_wall_time(self):
-        result = wasserstein_distance([0, 1, 3], [5, 6, 8])
-        assert float(result) == result.distance
-        assert result.wall_time_ns > 0
+    def test_wall_time_is_recorded(self):
+        assert wasserstein_distance([0, 1, 3], [5, 6, 8]).wall_time_ns > 0
 
 
 class TestPlans:

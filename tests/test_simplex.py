@@ -24,7 +24,7 @@ def lp_distance(u_pts, v_pts, u_w=None, v_w=None):
 
 def assert_certified(problem, solution):
     """Plan meets both marginals, duals price every cell >= 0, pivots within budget."""
-    n, m = problem.n_sources, problem.n_targets
+    n, m = problem.cost.shape
     reduced = problem.cost - solution.dual[:n, None] - solution.dual[None, n:]
     assert reduced.min() >= -1e-9
     np.testing.assert_allclose(solution.plan.source_marginals(), problem.supply, atol=1e-9)
@@ -38,7 +38,7 @@ def full_ranking_start(problem):
     The reference for ``initial_basis``, which ranks only the cheapest cells
     of the live block in rounds and must build the same tree.
     """
-    n, m = problem.n_sources, problem.n_targets
+    n, m = problem.cost.shape
     total = n + m
     left = problem.supply.tolist() + problem.demand.tolist()
     eps = [1] * n + [-1] * m

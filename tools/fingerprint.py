@@ -20,8 +20,9 @@ them. Two checkouts that print the same fingerprint computed the same
 distances, pivots and plans. It takes a few seconds.
 
 ``tools/fingerprint.txt`` holds the seven lines the tool prints on the
-current tree, and CI diffs each leg's output against it. A change that
-moves results updates that file and explains in CHANGES.md why they moved.
+current tree, and ``tests/test_fingerprint.py`` asserts that the output
+equals it exactly. A change that moves results updates that file and
+explains in CHANGES.md why they moved.
 """
 
 import hashlib
