@@ -2,7 +2,7 @@
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,9 @@ class DistanceResult:
     Read the value from ``distance``: the result itself does not convert to
     float. ``distance`` is a non-negative float, ``inf``, or ``nan``;
     ``finiteness`` states which of those cases holds explicitly, so
-    undefined results never hide behind a quiet NaN. It is not an argument: it is read off
-    ``distance``, so ``FINITE`` is never paired with ``inf`` or ``nan``.
+    undefined results never hide behind a quiet NaN. It is a read-only
+    property computed from ``distance``, not a field, so ``FINITE`` is never
+    paired with ``inf`` or ``nan``.
     ``plan`` is attached only when requested and the distance is finite;
     it always indexes the input points. ``iterations`` counts the simplex
     pivots, 0 on the CDF path; the LP solves only the residual problem
@@ -35,18 +36,16 @@ class DistanceResult:
     """
 
     distance: float
-    finiteness: Finiteness = field(init=False)
     path: str  # "cdf1d" or "lp"
     iterations: int
     wall_time_ns: int
     plan: TransportPlan = None
 
-    def __post_init__(self):
+    @property
+    def finiteness(self) -> Finiteness:
         if math.isfinite(self.distance):
-            finiteness = Finiteness.FINITE
-        else:
-            finiteness = Finiteness.INFINITE if math.isinf(self.distance) else Finiteness.UNDEFINED
-        object.__setattr__(self, "finiteness", finiteness)
+            return Finiteness.FINITE
+        return Finiteness.INFINITE if math.isinf(self.distance) else Finiteness.UNDEFINED
 
 
 def wasserstein_distance(
@@ -171,8 +170,8 @@ def wasserstein_distance(
                     # build_problem asks of small totals: the smaller is scaled
                     # to the larger, which moves the distance by that imbalance
                     # times a cost, the full problem's rounding level
-                    top = max(totals)
-                    supply, demand = supply * (top / totals[0]), demand * (top / totals[1])
+                    larger = max(totals)
+                    supply, demand = supply * (larger / totals[0]), demand * (larger / totals[1])
                 costs = pairwise_costs(replace(u_dist, points=points[rows], weights=supply),
                                        replace(v_dist, points=points[cols], weights=demand))
                 # solve on costs in [0.5, 1), scaled by a power of two so that no

@@ -6,6 +6,12 @@ comma-delimited, decimal point only); single-column files are treated as
 one-dimensional samples. Exit codes: 0 success, 2 validation error, 3 solver
 failure, 4 I/O or parse failure.
 
+``compute`` prints one JSON object to stdout, with the keys ``distance``,
+``path``, ``iterations`` and ``wall_time_ns``; an ``inf`` or ``nan`` distance
+is written as the string ``"inf"`` or ``"nan"``, since JSON has no such
+numbers. With ``--plan OUT.json`` the plan is written to that file only, as a
+list of ``[row, col, mass]`` entries that index the input rows.
+
 ``bench`` writes one CSV row per trial, whose ``wall_time_ns`` is the time
 ``wasserstein_distance`` measures itself, and one summary row per size.
 """
@@ -69,20 +75,17 @@ def _cmd_compute(args):
 
     distance = result.distance
     payload = {
-        # JSON has no inf or nan: those distances are written as strings
         "distance": distance if result.finiteness is Finiteness.FINITE else str(distance),
         "path": result.path,
         "iterations": result.iterations,
         "wall_time_ns": result.wall_time_ns,
     }
-    text = "\n".join(f"{key}: {value}" for key, value in payload.items())
     if args.plan is not None:
         p = result.plan
         plan = [] if p is None else list(zip(p.rows.tolist(), p.cols.tolist(), p.mass.tolist()))
         with open(args.plan, "w") as fh:
             json.dump(plan, fh)
-        payload["plan"] = plan
-    print(text if args.format == "text" else json.dumps(payload))
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -141,7 +144,6 @@ def main(argv=None):
     compute.add_argument("--v-weights", default=None, help="CSV of target weights, one per row")
     compute.add_argument("--plan", default=None, metavar="OUT.json",
                          help="also compute the transport plan and write it here")
-    compute.add_argument("--format", choices=["json", "text"], default="json")
     compute.add_argument("--header", action="store_true", help="skip the first row of every CSV")
     compute.set_defaults(func=_cmd_compute)
 

@@ -311,7 +311,7 @@ class TestSolve:
             assert solved(2.0**k) == (distance * 2.0**k, pivots)
         for scale in (1e-12, 1e4, 1e6, 1e9, 1e300):
             at_scale, at_pivots = solved(scale)
-            assert at_scale == pytest.approx(distance * scale, rel=1e-15)
+            assert at_scale == pytest.approx(distance * scale, rel=1e-15, abs=0.0)
             assert at_pivots == pivots
 
     def test_masses_of_any_scale_take_the_same_pivots(self):
