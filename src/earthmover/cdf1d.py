@@ -2,11 +2,14 @@
 
 For step CDFs U and V the first-order distance is the integral of |U - V|
 over the line, which reduces to a finite sum over consecutive positions of
-the merged support. ``merged_support`` builds that support by sorting each
-side once and merging the two sorted runs once; each side's CDF is its
-running weight along the merged order, read at the end of each run of tied
-positions. ``greedy_plan_1d`` builds the monotone plan of the same cost
-from the quantile form of that integral.
+the merged support. ``merged_support`` builds that support from each
+side's own running sum: a side is sorted once, its weights are replaced by
+their running sum, and its ties are merged to the last point of each run.
+One stable sort merges the two sides' distinct positions; each CDF is read
+off its side's running sum by the count of that side's points at or before
+each merged position. ``cdf_distance_1d`` computes the integrand in the
+support's own buffers. ``greedy_plan_1d`` builds the monotone plan of the
+same cost from the quantile form of that integral.
 
 ``monotone_coupling`` is the north-west corner rule that cuts a plan along
 a mass axis. It is the plan rule of both paths: ``greedy_plan_1d`` applies
@@ -40,32 +43,55 @@ class MergedSupport:
 def merged_support(u: DiscreteDistribution, v: DiscreteDistribution) -> MergedSupport:
     """Merge both supports into one sorted, deduplicated grid with both CDFs on it.
 
-    Each side is sorted on its own into one run of a shared positions array,
-    its weights into the same order. A stable sort of that array merges the
-    two sorted runs in one linear pass (timsort finds the runs). It only has
-    to tell which slots of the merged order hold v's points: any sort puts
-    as many of each side's points into each run of tied positions. A side's
-    weights fill its own slots in its own order, zeros the other side's;
-    adding 0.0 is exact, so the running sum at the end of each tie run is
-    the side's cumulative weight up to that position, bit for bit.
+    ``_sort_side`` gives each side's distinct positions in increasing order,
+    its ties merged, with its running weight at each. A stable sort of the
+    two runs merges them in one linear pass (timsort finds the runs) and
+    tells which slots of the merged order hold u's points; a position both
+    sides hold takes two slots, u's first. A side's CDF at a merged
+    position is its running sum after as many of its points as lie at or
+    before it, 0 before its first point, divided by its last running sum.
+    That count is ``cumsum(from_u)`` at the last slot of each run of tied
+    positions for u, and that slot's index + 1 less u's count for v.
+
+    This is bit for bit the running sum of each side's weights laid into
+    its own slots of all n + m sorted points, zeros in the other side's, and
+    read at the end of each run of ties: adding 0.0 is exact, so that sum at
+    any slot equals the side's own running sum up to its last point at or
+    before it. Both forms sum a tie's weights in the order of the per-side
+    default-kind sort, divide by the same total, and take each merged
+    position from the last point of its run of ties, so even the sign of a
+    zero position is kept. The one difference is the sign of a zero CDF
+    value after weights of -0.0, which |U - V| does not see.
     """
-    n = u.size
-    positions = np.empty(n + v.size)
-    u_weights = _sort_side(u, positions[:n])
-    v_weights = _sort_side(v, positions[n:])
-    from_v = np.argsort(positions, kind="stable") >= n
+    u_positions, u_cum = _sort_side(u)
+    v_positions, v_cum = _sort_side(v)
+    positions = np.concatenate([u_positions, v_positions])
+    # each array is dropped once it is used up, which keeps the peak memory
+    # of large calls to three outputs, an index and one side's running sum
+    del u_positions, v_positions
+    from_u = positions.argsort(kind="stable") < u_cum.size
     positions.sort(kind="stable")
     last = np.append(positions[1:] != positions[:-1], True)
     positions = positions[last]
-    u_cdf = _cdf_at(last, ~from_v, u_weights)
-    # a side's sorted weights are dropped once its CDF is built, which keeps
-    # the peak memory of large calls down
-    del u_weights
-    return MergedSupport(positions, u_cdf, _cdf_at(last, from_v, v_weights))
+    index = from_u.cumsum()[last]
+    del from_u
+    index -= 1
+    u_cdf = _cdf_at(u_cum, index)
+    del u_cum
+    # v's count is the slot's index + 1 less u's count
+    np.subtract(last.nonzero()[0], index, out=index)
+    index -= 1
+    return MergedSupport(positions, u_cdf, _cdf_at(v_cum, index))
 
 
-def _sort_side(dist: DiscreteDistribution, out: np.ndarray) -> np.ndarray:
-    """Write ``dist``'s positions into ``out`` in increasing order; return its weights so ordered.
+def _sort_side(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``dist``'s distinct positions in increasing order and its running weight at each.
+
+    The points are sorted, and their weights are taken in that order and
+    replaced by their running sum, n values for n points. Where positions
+    tie, only the last point of each run is kept, with the running sum
+    through the whole run, which is the side's CDF there up to its total. A
+    side without ties is returned as sorted.
 
     The default sort kind is kept: it is several times faster than a stable
     sort on random floats, and it is deterministic, so two identical inputs
@@ -73,27 +99,40 @@ def _sort_side(dist: DiscreteDistribution, out: np.ndarray) -> np.ndarray:
     order within a tie decides only the order in which its weights are
     summed, so changing the kind would move distances by a rounding.
     """
-    order = np.argsort(dist.points[:, 0])
-    np.take(dist.points[:, 0], order, out=out)
-    return dist.weights[order]
+    column = dist.points[:, 0]
+    order = column.argsort()
+    positions = column.take(order)
+    cum = dist.weights.take(order)
+    cum.cumsum(out=cum)
+    last = positions[1:] != positions[:-1]
+    if last.all():
+        return positions, cum
+    last = np.append(last, True)
+    return positions[last], cum[last]
 
 
-def _cdf_at(last: np.ndarray, slots: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Running sum of ``weights`` laid into ``slots`` of the merged order, zeros elsewhere.
+def _cdf_at(cum: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """A side's CDF read at each ``index`` of its running sum ``cum``, divided by its total.
 
-    Read at the ``last`` slot of each run of tied positions and divided by
-    its total, so the CDF ends at exactly 1.
+    ``index`` is non-decreasing, one less than the count of the side's
+    points at or before each merged position, so it is -1 before the first
+    point, where the CDF is 0. The total is the last running sum, so the
+    CDF ends at exactly 1.
     """
-    cum = np.zeros(slots.size)
-    cum[slots] = weights
-    np.cumsum(cum, out=cum)
-    cdf = cum[last]
-    cdf /= cdf[-1]
+    cdf = cum[index]
+    cdf[: index.searchsorted(0)] = 0.0
+    cdf /= cum[-1]
     return cdf
 
 
 def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
     """Sum of |U - V| times the gap between consecutive merged positions.
+
+    The support is this call's own, so the tail is computed in place:
+    |U - V| goes into its ``u_cdf`` buffer and the gaps into its ``v_cdf``
+    buffer, with no temporaries. The elementwise operations are those of
+    ``np.abs(U - V) * np.diff(positions)``, and the sum runs on a
+    contiguous array of the same length, so the sum is the same bit for bit.
 
     The gaps must be finite: where two positions lie more than the float
     maximum apart, the gap is ``inf`` and a zero CDF difference times it is
@@ -101,9 +140,12 @@ def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
     that every gap is finite.
     """
     ms = merged_support(u, v)
-    gap = np.abs(ms.u_cdf[:-1] - ms.v_cdf[:-1])
-    gap *= np.diff(ms.positions)
-    return float(np.sum(gap))
+    gap, width = ms.u_cdf[:-1], ms.v_cdf[:-1]
+    gap -= width
+    np.abs(gap, out=gap)
+    np.subtract(ms.positions[1:], ms.positions[:-1], out=width)
+    gap *= width
+    return float(gap.sum())
 
 
 def monotone_coupling(a_order, a_ends, b_order, b_ends):

@@ -148,10 +148,12 @@ class TestMergedSupport:
     def test_matches_the_unique_and_searchsorted_oracle_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(73)
 
-        def side(k, grid):
-            points = np.round(rng.normal(size=k) / grid) * grid
-            # ties between 0.0 and -0.0, within a side and across the two
-            points[rng.random(k) < 0.2] = rng.choice([0.0, -0.0])
+        def side(k, grid=None):
+            points = rng.normal(size=k)
+            if grid is not None:
+                points = np.round(points / grid) * grid
+                # ties between 0.0 and -0.0, within a side and across the two
+                points[rng.random(k) < 0.2] = rng.choice([0.0, -0.0])
             weights = rng.random(k) * (rng.random(k) >= 0.2)
             weights[rng.integers(k)] += 1.0  # a positive total
             return dist1d(points, weights)
@@ -164,6 +166,26 @@ class TestMergedSupport:
             cases += [(u, v), (v, u)]
         cases += [(u, u) for u, _ in cases[:100]]
         cases += [(dist1d([2.5], [3.0]), dist1d([-1.0, 2.5], [1.0, 0.0]))]
+        # a side without ties against one with ties, so that only one side
+        # merges its own ties
+        for trial in range(40):
+            u = side(int(rng.integers(1, 300)))
+            v = side(int(rng.integers(1, 300)), (1e-3, 0.25)[trial % 2])
+            cases += [(u, v), (v, u)]
+        # a side whose points all coincide, and single-point sides
+        lumps = [dist1d(np.full(50, 0.25), rng.random(50) + 0.01), dist1d(np.full(7, -0.0)),
+                 dist1d([0.25]), dist1d([-3.0], [2.0])]
+        for u in lumps:
+            for v in lumps + [side(100), side(100, 0.25)]:
+                cases += [(u, v), (v, u)]
+        # long runs of one side in the merged order, where timsort's merge
+        # gallops: two shifted clouds, and alternating blocks with ties in v
+        blocks = rng.random(4000) + rng.integers(0, 2, 4000) * 2
+        for u, v in (
+            (dist1d(rng.normal(size=4000), rng.random(4000)), dist1d(rng.normal(3, 1, 4000), rng.random(4000))),
+            (dist1d(blocks, rng.random(4000)), dist1d(np.round(blocks + 1, 3), rng.random(4000))),
+        ):
+            cases += [(u, v), (v, u)]
         for u, v in cases:
             got, want = merged_support(u, v), unique_merged_support(u, v)
             for name in ("positions", "u_cdf", "v_cdf"):
@@ -176,19 +198,25 @@ class TestMergedSupport:
                 assert distance == 0.0
 
     def test_peak_memory_per_input_point(self):
-        # 29.0 bytes a point measured (26.9 for the np.unique and searchsorted
-        # build); one more 8-byte temporary per point at the peak passes 32
+        # cdf_distance_1d, so merged_support and the tail, measured 21.3 bytes
+        # a point on the tied pair and 36.4 on the untied one (29.0 and 40.0
+        # when each CDF was a running sum over all n + m slots). The untied
+        # peak is the three outputs, one index and v's running sum; one more
+        # 8-byte temporary per point at the peak passes either pin
         rng = np.random.default_rng(7)
         n, m = 2**16, 3 * 2**14
-        u = dist1d(rng.standard_normal(n), rng.random(n))
-        v = dist1d(np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m))
-        tracemalloc.start()
-        try:
-            merged_support(u, v)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * (n + m)
+        tied = (dist1d(rng.standard_normal(n), rng.random(n)),
+                dist1d(np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m)))
+        untied = (dist1d(rng.standard_normal(n), rng.random(n)),
+                  dist1d(rng.standard_normal(m), rng.random(m)))
+        for (u, v), pin in ((tied, 24), (untied, 38)):
+            tracemalloc.start()
+            try:
+                cdf_distance_1d(u, v)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= pin * (n + m)
 
 
 def loop_coupling(a_order, a_ends, b_order, b_ends):

@@ -7,7 +7,9 @@ fixed:
 - ``lp_assignment``, seeds 1 and 901, 16 instances each;
 - ``lp_weighted``, seeds 1 and 7, 16 instances each;
 - ``cdf1d_ties``, seed 1, 4 instances;
-- uniform 2D points, 512 a side, from ``numpy.random.default_rng(5)``.
+- uniform 2D points, 512 a side, from ``numpy.random.default_rng(5)``;
+- 4 pairs of 2^15 untied, weighted 1D points a side, also from
+  ``numpy.random.default_rng(5)``: the 1D path where neither side has ties.
 
 Run from the root of a source checkout; the library is imported from
 ``src`` and the benchmark pools from ``bench/workloads.py``, read-only:
@@ -19,7 +21,7 @@ traced to its pool, and then the ``fingerprint`` line, a hash over all of
 them. Two checkouts that print the same fingerprint computed the same
 distances, pivots and plans. It takes a few seconds.
 
-``tools/fingerprint.txt`` holds the seven lines the tool prints on the
+``tools/fingerprint.txt`` holds the eight lines the tool prints on the
 current tree, and ``tests/test_fingerprint.py`` asserts that the output
 equals it exactly. A change that moves results updates that file and
 explains in CHANGES.md why they moved.
@@ -51,6 +53,13 @@ def uniform_512():
     return [Instance(rng.random((512, 2)), rng.random((512, 2)))]
 
 
+def untied_1d():
+    rng = np.random.default_rng(5)
+    k = 2**15
+    return [Instance(rng.standard_normal(k), rng.standard_normal(k), rng.random(k), rng.random(k))
+            for _ in range(4)]
+
+
 def pool_digest(instances) -> str:
     """SHA-1 of the distance, pivots and plan of every instance, in order."""
     digest = hashlib.sha1()
@@ -67,6 +76,7 @@ def main() -> int:
     pools = [(f"{name} seed {seed} x{count}", make_instances(name, seed, count))
              for name, seed, count in POOLS]
     pools.append(("uniform 512x512 default_rng(5)", uniform_512()))
+    pools.append(("untied 1D 2^15 x4 default_rng(5)", untied_1d()))
     total = hashlib.sha1()
     for label, instances in pools:
         digest = pool_digest(instances)
