@@ -122,11 +122,6 @@ def wasserstein_distance(
     path = "cdf1d" if flat_inputs else "lp"
     plan, iterations = None, 0
     special = classify_finiteness(u_dist, v_dist)
-    # the one place that scales weights to total mass one, once a side and
-    # one side at a time: u's weights as given are freed before v's scaled
-    # ones are made, which keeps the peak memory of large 1D calls down
-    u_dist = normalize(u_dist)
-    v_dist = normalize(v_dist)
     if special is not Finiteness.FINITE:
         distance = math.inf if special is Finiteness.INFINITE else math.nan
     else:
@@ -137,12 +132,16 @@ def wasserstein_distance(
         # every power-of-two rescaling of the input gives the same problem
         _, top = math.frexp(max(max(d.points.max(), -d.points.min()) for d in (u_dist, v_dist)))
         scale = top - 1022 + math.ceil(math.log2(u_dist.dim) / 2)
-        u_dist = replace(u_dist, points=np.ldexp(u_dist.points, -scale))
-        v_dist = replace(v_dist, points=np.ldexp(v_dist.points, -scale))
         if flat_inputs:
-            distance = cdf_distance_1d(u_dist, v_dist)
-            plan = greedy_plan_1d(u_dist, v_dist) if want_plan else None
+            # the 1D distance scales and normalizes the sorted copies it makes
+            # anyway, so the sides go in as validated, with no copy to scale
+            # or normalize; only the plan needs the scaled, normalized sides
+            distance = cdf_distance_1d(u_dist, v_dist, scale)
+            if want_plan:
+                plan = greedy_plan_1d(_scaled(u_dist, scale), _scaled(v_dist, scale))
         else:
+            u_dist = _scaled(u_dist, scale)
+            v_dist = _scaled(v_dist, scale)
             # with a metric cost, W1 depends on u - v alone (Kantorovich-Rubinstein;
             # Villani, Topics in Optimal Transportation, 2003, ch. 1): some
             # optimal plan keeps min(a, b) in place at every point where u holds
@@ -209,6 +208,16 @@ def wasserstein_distance(
     if not (want_plan and math.isfinite(distance)):
         plan = None
     return DistanceResult(distance, path, iterations, time.perf_counter_ns() - started, plan)
+
+
+def _scaled(dist, scale):
+    """``dist`` normalized to total mass one, on its points scaled by 2^-scale.
+
+    The one place that normalizes weights, for the LP and the 1D plan; the
+    1D distance divides each side's sorted weights by the same total, in
+    ``cdf1d._sort_side``.
+    """
+    return replace(normalize(dist), points=np.ldexp(dist.points, -scale))
 
 
 def _split_plan(moved, rows, cols, held, u_weights, u_group, v_weights, v_group):

@@ -11,6 +11,12 @@ each merged position. ``cdf_distance_1d`` computes the integrand in the
 support's own buffers. ``greedy_plan_1d`` builds the monotone plan of the
 same cost from the quantile form of that integral.
 
+``merged_support`` and ``cdf_distance_1d`` take the distributions as
+validated, weights as given and points unscaled, plus a point scale.
+``wasserstein_distance`` decides that scale, and each side's total is its
+weights' sum; ``_sort_side`` applies both to the sorted copies it makes
+anyway, so the distance copies no input array to scale or normalize it.
+
 ``monotone_coupling`` is the north-west corner rule that cuts a plan along
 a mass axis. It is the plan rule of both paths: ``greedy_plan_1d`` applies
 it to the two sides' cumulative weights, and the LP path's plan split
@@ -40,11 +46,14 @@ class MergedSupport:
     v_cdf: np.ndarray
 
 
-def merged_support(u: DiscreteDistribution, v: DiscreteDistribution) -> MergedSupport:
+def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int = 0) -> MergedSupport:
     """Merge both supports into one sorted, deduplicated grid with both CDFs on it.
 
-    ``_sort_side`` gives each side's distinct positions in increasing order,
-    its ties merged, with its running weight at each. A stable sort of the
+    The positions are the points scaled by 2^-scale, and each side's
+    weights count as divided by their total, whatever it is; ``u`` and
+    ``v`` themselves are not changed. ``_sort_side`` gives each side's
+    distinct positions in increasing order, scaled, its ties merged, with
+    its running normalized weight at each. A stable sort of the
     two runs merges them in one linear pass (timsort finds the runs) and
     tells which slots of the merged order hold u's points; a position both
     sides hold takes two slots, u's first. A side's CDF at a merged
@@ -63,8 +72,8 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution) -> MergedSu
     zero position is kept. The one difference is the sign of a zero CDF
     value after weights of -0.0, which |U - V| does not see.
     """
-    u_positions, u_cum = _sort_side(u)
-    v_positions, v_cum = _sort_side(v)
+    u_positions, u_cum = _sort_side(u, scale)
+    v_positions, v_cum = _sort_side(v, scale)
     positions = np.concatenate([u_positions, v_positions])
     # each array is dropped once it is used up, which keeps the peak memory
     # of large calls to three outputs, an index and one side's running sum
@@ -84,7 +93,7 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution) -> MergedSu
     return MergedSupport(positions, u_cdf, _cdf_at(v_cum, index))
 
 
-def _sort_side(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.ndarray]:
     """Return ``dist``'s distinct positions in increasing order and its running weight at each.
 
     The points are sorted, and their weights are taken in that order and
@@ -93,6 +102,16 @@ def _sort_side(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     through the whole run, which is the side's CDF there up to its total. A
     side without ties is returned as sorted.
 
+    The sorted copies are scaled and normalized in place: the positions by
+    ``np.ldexp(positions, -scale)``, the weights, before their running sum,
+    divided by ``dist.weights.sum()`` over input order, the expression of
+    ``normalize``. Both steps are elementwise, so they commute with the
+    permutation, and the result is bit for bit that of sorting the scaled,
+    normalized distribution. Scaling up is exact and keeps the order; scaling
+    down (scale > 0, only for coordinates from 2^1022 up) can round
+    subnormal points into ties, so then the column is scaled before it is
+    sorted, as the scaled distribution's would be.
+
     The default sort kind is kept: it is several times faster than a stable
     sort on random floats, and it is deterministic, so two identical inputs
     get the same order within ties and a self-distance is exactly 0. The
@@ -100,9 +119,13 @@ def _sort_side(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     summed, so changing the kind would move distances by a rounding.
     """
     column = dist.points[:, 0]
+    if scale > 0:
+        column, scale = np.ldexp(column, -scale), 0
     order = column.argsort()
     positions = column.take(order)
+    np.ldexp(positions, -scale, out=positions)
     cum = dist.weights.take(order)
+    cum /= dist.weights.sum()
     cum.cumsum(out=cum)
     last = positions[1:] != positions[:-1]
     if last.all():
@@ -125,8 +148,12 @@ def _cdf_at(cum: np.ndarray, index: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
+def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution, scale: int = 0) -> float:
     """Sum of |U - V| times the gap between consecutive merged positions.
+
+    The distance between ``u`` and ``v`` normalized, on points scaled by
+    2^-scale: ``merged_support`` applies both, so the caller passes the
+    distributions as validated.
 
     The support is this call's own, so the tail is computed in place:
     |U - V| goes into its ``u_cdf`` buffer and the gaps into its ``v_cdf``
@@ -136,10 +163,10 @@ def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> float:
 
     The gaps must be finite: where two positions lie more than the float
     maximum apart, the gap is ``inf`` and a zero CDF difference times it is
-    ``nan``. ``wasserstein_distance`` scales the points by a power of two so
-    that every gap is finite.
+    ``nan``. ``wasserstein_distance`` passes the power of two that makes
+    every gap finite as ``scale``.
     """
-    ms = merged_support(u, v)
+    ms = merged_support(u, v, scale)
     gap, width = ms.u_cdf[:-1], ms.v_cdf[:-1]
     gap -= width
     np.abs(gap, out=gap)

@@ -2,8 +2,10 @@
 
 A distribution is a set of n support points in d dimensions with non-negative
 masses. Weights are accepted as counts or masses; ``wasserstein_distance``
-normalizes each side once to the probability simplex before any distance
-computation, so both marginals of the transport problem always balance.
+divides each side's weights by their total once before any distance is
+computed, so both marginals of the transport problem always balance: by
+``normalize`` on the LP path and for the 1D plan, and in the sort of
+``cdf1d`` for the 1D distance.
 """
 
 import enum
@@ -39,6 +41,9 @@ class DiscreteDistribution:
     the arrays it is given and makes them read-only, so every instance, one
     made by ``dataclasses.replace`` included, has read-only arrays. Pass
     arrays no one else writes to; all operations return new instances.
+    ``validate`` passes read-only views of the caller's float64 arrays, so
+    its instances read the caller's memory: the caller's arrays stay
+    writeable, and a write to them shows in the instance.
     """
 
     points: np.ndarray
@@ -80,6 +85,12 @@ def validate(points, weights=None) -> DiscreteDistribution:
     uniform. Raises ShapeError for inputs that are not 1D/2D arrays of real
     numbers, WeightLengthError / NegativeWeightError / WeightSumError for bad
     weights.
+
+    Nothing is copied that is float64 already: the distribution holds
+    read-only views of the caller's float64 arrays, strided ones included,
+    and shares their memory, while the caller's own arrays keep their flags.
+    Do not write to them while the distribution is in use. Other input (ints,
+    lists, other float types or byte orders) is converted into fresh arrays.
     """
     pts = as_float_array(points, ShapeError, "points")
     if pts.ndim > 2:
@@ -109,9 +120,9 @@ def validate(points, weights=None) -> DiscreteDistribution:
             total = float(w.sum())
         if not np.isfinite(total) or total <= 0:
             raise WeightSumError(f"weight sum must be positive and finite, got {total}")
-        w = w.copy()
 
-    return DiscreteDistribution(pts.copy(), w)
+    # views, so that making them read-only leaves the caller's flags alone
+    return DiscreteDistribution(pts.view(), w.view())
 
 
 def normalize(dist: DiscreteDistribution) -> DiscreteDistribution:

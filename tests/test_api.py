@@ -109,6 +109,25 @@ class TestDispatch:
     def test_wall_time_is_recorded(self):
         assert wasserstein_distance([0, 1, 3], [5, 6, 8]).wall_time_ns > 0
 
+    def test_flat_call_peak_memory_per_input_point(self):
+        # the pairs and pins of test_cdf1d's test_peak_memory_per_input_point:
+        # a flat call makes no copy of its float64 input to scale or normalize
+        # it, so its peak is that of cdf_distance_1d, measured 21.3 and 36.5
+        # bytes a point (37.3 and 52.5 while api held scaled points and
+        # normalized weights, 16 bytes a point, through the whole call)
+        rng = np.random.default_rng(7)
+        n, m = 2**16, 3 * 2**14
+        tied = (rng.standard_normal(n), rng.random(n), np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m))
+        untied = (rng.standard_normal(n), rng.random(n), rng.standard_normal(m), rng.random(m))
+        for (u, u_w, v, v_w), pin in ((tied, 24), (untied, 38)):
+            tracemalloc.start()
+            try:
+                wasserstein_distance(u, v, u_w, v_w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= pin * (n + m)
+
 
 class TestPlans:
     def test_no_plan_by_default(self):

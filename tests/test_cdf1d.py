@@ -1,6 +1,8 @@
 """One-dimensional path: CDF gap integral, the monotone coupling and the greedy plan oracle."""
 
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,12 +28,15 @@ def pairs(plan):
     return list(zip(plan.rows.tolist(), plan.cols.tolist()))
 
 
-def unique_merged_support(u, v):
+def unique_merged_support(u, v, scale=0):
     """Reference merged support: ``np.unique`` of both sides, each CDF read by ``searchsorted``.
 
-    Each side is sorted with the default kind, as ``merged_support`` sorts
-    it, so the weights of a tie are summed in the same order.
+    Each side's points are first scaled by ``np.ldexp(points, -scale)`` and
+    its weights normalized in input order, by ``normalize``; then each side
+    is sorted with the default kind, as ``merged_support`` sorts it, so the
+    weights of a tie are summed in the same order.
     """
+    u, v = (replace(normalize(d), points=np.ldexp(d.points, -scale)) for d in (u, v))
     grid = np.unique(np.concatenate([u.points[:, 0], v.points[:, 0]]))
 
     def step_cdf(dist):
@@ -40,6 +45,11 @@ def unique_merged_support(u, v):
         return cum[np.searchsorted(dist.points[order, 0], grid, side="right")] / cum[-1]
 
     return MergedSupport(grid, step_cdf(u), step_cdf(v))
+
+
+def api_scale(u, v):
+    """The point scale ``wasserstein_distance`` passes for flat sides: the largest |point| just below 2^1022."""
+    return math.frexp(max(np.abs(d.points).max() for d in (u, v)))[1] - 1022
 
 
 def loop_plan_1d(u, v):
@@ -146,6 +156,8 @@ class TestMergedSupport:
                 assert abs(cdf[-1] - 1.0) <= 1e-12
 
     def test_matches_the_unique_and_searchsorted_oracle_bit_for_bit(self, monkeypatch):
+        # merged_support takes the sides as validated, weights as given, so
+        # the oracle normalizes them in input order and scales the points
         rng = np.random.default_rng(73)
 
         def side(k, grid=None):
@@ -156,7 +168,7 @@ class TestMergedSupport:
                 points[rng.random(k) < 0.2] = rng.choice([0.0, -0.0])
             weights = rng.random(k) * (rng.random(k) >= 0.2)
             weights[rng.integers(k)] += 1.0  # a positive total
-            return dist1d(points, weights)
+            return validate(points, weights)
 
         cases = []
         for trial in range(300):
@@ -165,7 +177,7 @@ class TestMergedSupport:
             v = side(int(rng.integers(1, 300)), grid)
             cases += [(u, v), (v, u)]
         cases += [(u, u) for u, _ in cases[:100]]
-        cases += [(dist1d([2.5], [3.0]), dist1d([-1.0, 2.5], [1.0, 0.0]))]
+        cases += [(validate([2.5], [3.0]), validate([-1.0, 2.5], [1.0, 0.0]))]
         # a side without ties against one with ties, so that only one side
         # merges its own ties
         for trial in range(40):
@@ -173,8 +185,8 @@ class TestMergedSupport:
             v = side(int(rng.integers(1, 300)), (1e-3, 0.25)[trial % 2])
             cases += [(u, v), (v, u)]
         # a side whose points all coincide, and single-point sides
-        lumps = [dist1d(np.full(50, 0.25), rng.random(50) + 0.01), dist1d(np.full(7, -0.0)),
-                 dist1d([0.25]), dist1d([-3.0], [2.0])]
+        lumps = [validate(np.full(50, 0.25), rng.random(50) + 0.01), validate(np.full(7, -0.0)),
+                 validate([0.25]), validate([-3.0], [2.0]), validate([1.0, 2.0, 3.0], [-0.0, -0.0, 1.0])]
         for u in lumps:
             for v in lumps + [side(100), side(100, 0.25)]:
                 cases += [(u, v), (v, u)]
@@ -182,20 +194,49 @@ class TestMergedSupport:
         # gallops: two shifted clouds, and alternating blocks with ties in v
         blocks = rng.random(4000) + rng.integers(0, 2, 4000) * 2
         for u, v in (
-            (dist1d(rng.normal(size=4000), rng.random(4000)), dist1d(rng.normal(3, 1, 4000), rng.random(4000))),
-            (dist1d(blocks, rng.random(4000)), dist1d(np.round(blocks + 1, 3), rng.random(4000))),
+            (validate(rng.normal(size=4000), rng.random(4000)), validate(rng.normal(3, 1, 4000), rng.random(4000))),
+            (validate(blocks, rng.random(4000)), validate(np.round(blocks + 1, 3), rng.random(4000))),
         ):
             cases += [(u, v), (v, u)]
+        # points near both ends of the exponent range: scaled up from the
+        # subnormals, and down from near the float maximum, where subnormal
+        # points of the same side round into ties; the -0.0 lumps go with them
+        for exponent in (-1074, -1060, 1000, 1021):
+            for trial in range(6):
+                u, v = (side(int(rng.integers(1, 200)), (None, 1e-3, 0.25)[trial % 3]) for _ in "uv")
+                u, v = (replace(d, points=np.ldexp(d.points, exponent)) for d in (u, v))
+                cases += [(u, v), (v, u), (u, u)] + [(u, lump) for lump in lumps]
+        for k in (3, 40, 300):
+            top = validate(np.append(rng.choice([-1.5, 1.5], 1) * 2.0**1023, rng.integers(0, 12, k) * 2.0**-1074),
+                           np.append(rng.random(1), rng.random(k)))
+            low = validate(rng.integers(0, 12, k) * 2.0**-1074, rng.random(k))
+            cases += [(top, low), (low, top), (top, top)]
         for u, v in cases:
-            got, want = merged_support(u, v), unique_merged_support(u, v)
+            scale = api_scale(u, v)
+            got, want = merged_support(u, v, scale), unique_merged_support(u, v, scale)
             for name in ("positions", "u_cdf", "v_cdf"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-            distance = cdf_distance_1d(u, v)
+            distance = cdf_distance_1d(u, v, scale)
             with monkeypatch.context() as patch:
                 patch.setattr(cdf1d, "merged_support", unique_merged_support)
-                assert distance == cdf_distance_1d(u, v)
+                assert distance == cdf_distance_1d(u, v, scale)
             if u is v:
                 assert distance == 0.0
+
+    def test_weights_times_a_power_of_two_read_the_same_bits(self):
+        # each side is divided by its own total, so 2^k times its weights is
+        # the same distribution, bit for bit, while no weight is subnormal
+        rng = np.random.default_rng(79)
+        for trial in range(40):
+            points = [rng.normal(size=int(rng.integers(1, 300))) for _ in "uv"]
+            if trial % 2:
+                points = [np.round(p, 3) for p in points]
+            weights = [rng.random(p.size) + 0.01 for p in points]
+            want = merged_support(*map(validate, points, weights))
+            for k in (-1000, -3, 1, 900):
+                got = merged_support(*(validate(p, np.ldexp(w, k)) for p, w in zip(points, weights)))
+                for name in ("positions", "u_cdf", "v_cdf"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_peak_memory_per_input_point(self):
         # cdf_distance_1d, so merged_support and the tail, measured 21.3 bytes

@@ -109,6 +109,38 @@ class TestValidate:
             with pytest.raises(ValueError):
                 dist.weights[0] = 99.0
 
+    def test_float64_input_is_viewed_not_copied(self):
+        # strided and read-only arrays are viewed as they are
+        points, weights = np.arange(10.0), np.linspace(1.0, 2.0, 10)
+        frozen = np.arange(5.0)
+        frozen.flags.writeable = False
+        for pts, w in ((points, weights), (points.reshape(5, 2), weights[::2]), (points[::2], frozen)):
+            dist = validate(pts, w)
+            assert np.shares_memory(dist.points, pts) and np.shares_memory(dist.weights, w)
+
+    def test_the_callers_arrays_keep_their_flags(self):
+        points, weights = np.arange(6.0).reshape(3, 2), np.ones(3)
+        dist = validate(points, weights)
+        assert points.flags.writeable and weights.flags.writeable
+        assert not (dist.points.flags.writeable or dist.weights.flags.writeable)
+        points[0, 0] = 99.0  # the caller's writes show in the distribution
+        assert dist.points[0, 0] == 99.0
+
+    def test_other_input_is_converted_into_fresh_arrays(self):
+        for points, weights in (
+            (np.arange(4), np.array([1, 2, 3, 4])),
+            (np.arange(4.0).astype(">f8"), np.ones(4, dtype=">f8")),
+            (np.arange(4.0, dtype=np.float32), np.ones(4, dtype=np.float32)),
+        ):
+            dist = validate(points, weights)
+            assert dist.points.dtype == dist.weights.dtype == np.float64
+            assert not (np.shares_memory(dist.points, points) or np.shares_memory(dist.weights, weights))
+        points, weights = [0.0, 1.0, 3.0], [1.0, 2.0, 1.0]
+        dist = validate(points, weights)
+        points[0] = weights[0] = 99.0
+        np.testing.assert_array_equal(dist.points[:, 0], [0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(dist.weights, [1.0, 2.0, 1.0])
+
 
 class TestNormalize:
     def test_counts_become_fractions(self):
