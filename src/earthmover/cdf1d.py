@@ -3,8 +3,9 @@
 For step CDFs U and V the first-order distance is the integral of |U - V|
 over the line, which reduces to a finite sum over consecutive positions of
 the merged support. ``merged_support`` builds that support from each
-side's own running sum: a side is sorted once, its weights are replaced by
-their running sum, and its ties are merged to the last point of each run.
+side's own running sum: a side is sorted once, stably, by sorting packed
+integer keys (``_stable_sort``), its weights are replaced by their running
+sum, and its ties are merged to the last point of each run.
 One stable sort merges the two sides' distinct positions; each CDF is read
 off its side's running sum by the count of that side's points at or before
 each merged position. ``cdf_distance_1d`` computes the integrand in the
@@ -66,8 +67,8 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int 
     its own slots of all n + m sorted points, zeros in the other side's, and
     read at the end of each run of ties: adding 0.0 is exact, so that sum at
     any slot equals the side's own running sum up to its last point at or
-    before it. Both forms sum a tie's weights in the order of the per-side
-    default-kind sort, divide by the same total, and take each merged
+    before it. Both forms sum a tie's weights in input order (-0.0 and 0.0
+    tie), divide by the same total, and take each merged
     position from the last point of its run of ties, so even the sign of a
     zero position is kept. The one difference is the sign of a zero CDF
     value after weights of -0.0, which |U - V| does not see.
@@ -112,19 +113,18 @@ def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.n
     subnormal points into ties, so then the column is scaled before it is
     sorted, as the scaled distribution's would be.
 
-    The default sort kind is kept: it is several times faster than a stable
-    sort on random floats, and it is deterministic, so two identical inputs
-    get the same order within ties and a self-distance is exactly 0. The
-    order within a tie decides only the order in which its weights are
-    summed, so changing the kind would move distances by a rounding.
+    The order is ``np.argsort(column, kind="stable")``, from ``_stable_sort``:
+    a tie's weights are summed in input order, on every CPU and NumPy
+    version, and -0.0 ties with 0.0, as ``==`` has it. A side without ties
+    reads the same bits in any order.
     """
     column = dist.points[:, 0]
     if scale > 0:
         column, scale = np.ldexp(column, -scale), 0
-    order = column.argsort()
-    positions = column.take(order)
+    order, positions = _stable_sort(column)
     np.ldexp(positions, -scale, out=positions)
     cum = dist.weights.take(order)
+    del order
     cum /= dist.weights.sum()
     cum.cumsum(out=cum)
     last = positions[1:] != positions[:-1]
@@ -132,6 +132,114 @@ def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.n
         return positions, cum
     last = np.append(last, True)
     return positions[last], cum[last]
+
+
+def _stable_sort(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(column, kind="stable")`` and ``column`` in that order, from sorts of integers.
+
+    Each value becomes an integer key in value order (``_order_keys``), and
+    ``_packed_sort`` sorts the keys with the input index packed below them.
+    All packed keys differ, so every sort kernel puts them in the same
+    order, and equal values come out in input order. -0.0 and 0.0 compare
+    equal but have keys apart, so the run of zeros is put in input order
+    last. The values must not be NaN.
+    """
+    order, ordered = _packed_sort(_order_keys(column), column)
+    zeros = slice(ordered.searchsorted(0.0), ordered.searchsorted(0.0, side="right"))
+    order[zeros].sort()
+    ordered[zeros] = column[order[zeros]]
+    return order, ordered
+
+
+def _order_keys(values: np.ndarray) -> np.ndarray:
+    """int64 keys in the order of the float64 ``values``: their bits, all but the sign flipped where it is set.
+
+    A negative value's key is -1 less its magnitude's bits, so -0.0 takes
+    -1, just below 0.0's key 0.
+    """
+    bits = values.view(np.int64)
+    keys = bits >> 63
+    keys &= np.int64(2**63 - 1)
+    keys ^= bits
+    return keys
+
+
+def _packed_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of int64 ``keys``, and ``values`` in that order; ``keys`` is overwritten.
+
+    ``values`` compare as ``keys`` do, but for -0.0 and 0.0, which
+    ``_stable_sort`` sets right after. A key less the smallest, its offset,
+    is sorted above the input index (``_index_order``), less only as many
+    of its low bits as leave room for the index. Where bits were dropped,
+    distinct keys can share a bucket (an offset less its dropped bits),
+    which comes out in input order, not key order: the buckets that hold a
+    descent are sorted again, all at once, by ``_two_pass_order``. Where a
+    sample of the side already shares buckets between distinct keys, most
+    of the side would, so the whole side is sorted by ``_two_pass_order``
+    instead. No sort is of floats, so the order does not depend on the
+    kernel. Up to 2^32 values.
+    """
+    width = (keys.size - 1).bit_length()
+    low, high = int(keys.min()), int(keys.max())
+    drop = np.uint64(max(0, (high - low).bit_length() + width - 64))
+    offset = keys.view(np.uint64)
+    offset -= np.uint64(low % 2**64)
+    if drop:
+        sample = np.sort(offset[:: max(1, offset.size // 1024)])
+        bucket = sample >> drop
+        if ((bucket[1:] == bucket[:-1]) & (sample[1:] != sample[:-1])).any():
+            order = _two_pass_order(offset, drop)
+            return order, values.take(order)
+    offset >>= drop
+    order = _index_order(offset)
+    ordered = values.take(order)
+    if not drop:
+        return order, ordered
+    descents = np.flatnonzero(ordered[1:] < ordered[:-1])
+    if descents.size:
+        # each slot's offset again, and the slots of each bucket that holds
+        # a descent, bucket after bucket
+        offset = _order_keys(ordered).view(np.uint64)
+        offset -= np.uint64(low % 2**64)
+        bucket = offset >> drop
+        held = bucket[descents]
+        held = held[np.append(True, held[1:] != held[:-1])]
+        start = bucket.searchsorted(held)
+        size = bucket.searchsorted(held, side="right") - start
+        slots = np.arange(size.sum())
+        slots += np.repeat(start - size.cumsum() + size, size)
+        moved = slots[_two_pass_order(offset[slots], drop)]
+        ordered[slots] = ordered[moved]
+        order[slots] = order[moved]
+    return order, ordered
+
+
+def _two_pass_order(offset: np.ndarray, drop: np.uint64) -> np.ndarray:
+    """``np.argsort(offset, kind="stable")`` of uint64 ``offset``, from two index sorts.
+
+    The first sorts by the low ``drop`` bits, the second by the others, in
+    the first's order, so that its ties keep it. ``offset`` lies below
+    2^(64 - w + drop), with ``drop`` at most w and w from the width of an
+    index into ``offset`` up to 32, so both keys leave room for the index.
+    """
+    first = _index_order(offset & (np.uint64(2**int(drop)) - np.uint64(1)))
+    high = offset[first]
+    high >>= drop
+    return first[_index_order(high)]
+
+
+def _index_order(keys: np.ndarray) -> np.ndarray:
+    """The stable order of uint64 ``keys``, each with room for the index below it; ``keys`` is overwritten.
+
+    One sort of each key above its index: all differ, so every sort kernel
+    puts them in the same order, and equal keys in input order.
+    """
+    width = np.uint64((keys.size - 1).bit_length())
+    keys <<= width
+    keys |= np.arange(keys.size, dtype=np.uint64)
+    keys.sort()
+    keys &= (np.uint64(1) << width) - np.uint64(1)
+    return keys.view(np.int64)
 
 
 def _cdf_at(cum: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -202,8 +310,8 @@ def greedy_plan_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> Transpor
     Entries come in quantile order; indices refer to the original input
     order.
     """
-    u_order = np.argsort(u.points[:, 0], kind="stable")
-    v_order = np.argsort(v.points[:, 0], kind="stable")
+    u_order = _stable_sort(u.points[:, 0])[0]
+    v_order = _stable_sort(v.points[:, 0])[0]
     u_cum = np.cumsum(u.weights[u_order])
     v_cum = np.cumsum(v.weights[v_order])
     return TransportPlan(u.size, v.size, *monotone_coupling(u_order, u_cum, v_order, v_cum))

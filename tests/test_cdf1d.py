@@ -33,14 +33,14 @@ def unique_merged_support(u, v, scale=0):
 
     Each side's points are first scaled by ``np.ldexp(points, -scale)`` and
     its weights normalized in input order, by ``normalize``; then each side
-    is sorted with the default kind, as ``merged_support`` sorts it, so the
-    weights of a tie are summed in the same order.
+    is sorted with the stable kind, as ``merged_support`` sorts it, so the
+    weights of a tie are summed in the same order, input order.
     """
     u, v = (replace(normalize(d), points=np.ldexp(d.points, -scale)) for d in (u, v))
     grid = np.unique(np.concatenate([u.points[:, 0], v.points[:, 0]]))
 
     def step_cdf(dist):
-        order = np.argsort(dist.points[:, 0])
+        order = np.argsort(dist.points[:, 0], kind="stable")
         cum = np.concatenate([[0.0], np.cumsum(dist.weights[order])])
         return cum[np.searchsorted(dist.points[order, 0], grid, side="right")] / cum[-1]
 
@@ -258,6 +258,135 @@ class TestMergedSupport:
             finally:
                 tracemalloc.stop()
             assert peak <= pin * (n + m)
+
+
+def default_kind_sort_side(dist, scale):
+    """``_sort_side`` with a default-kind argsort of the column for its order, less the tie merge."""
+    column = dist.points[:, 0]
+    if scale > 0:
+        column, scale = np.ldexp(column, -scale), 0
+    order = column.argsort()
+    cum = dist.weights.take(order)
+    cum /= dist.weights.sum()
+    return np.ldexp(column.take(order), -scale), cum.cumsum()
+
+
+class TestStableSort:
+    @staticmethod
+    def check(x):
+        order, positions = cdf1d._stable_sort(x)
+        want = np.argsort(x, kind="stable")
+        np.testing.assert_array_equal(order, want)
+        assert positions.tobytes() == x[want].tobytes()  # bits, so the sign of a zero too
+
+    @staticmethod
+    def two_pass_sizes(monkeypatch, x):
+        """The sizes ``_two_pass_order`` sorts while ``x`` is sorted: the whole side, or the buckets repaired."""
+        sizes, two_pass_order = [], cdf1d._two_pass_order
+
+        def counted(offset, drop):
+            sizes.append(offset.size)
+            return two_pass_order(offset, drop)
+
+        monkeypatch.setattr(cdf1d, "_two_pass_order", counted)
+        TestStableSort.check(x)
+        monkeypatch.setattr(cdf1d, "_two_pass_order", two_pass_order)
+        return sizes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**10, 2**10 + 1, 2**16, 2**16 + 1])
+    def test_sizes_at_and_past_a_power_of_two(self, n):
+        rng = np.random.default_rng(n)
+        self.check(rng.standard_normal(n))
+        self.check(rng.integers(0, 4, n) / 4)
+
+    def test_signed_zeros_and_subnormals(self):
+        rng = np.random.default_rng(3)
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1022, -(2.0**-1022), 1.0]
+        for _ in range(300):
+            self.check(rng.choice(tiny, int(rng.integers(1, 60))))
+        self.check(np.array([0.0, -0.0, 0.0, -0.0]))
+        self.check(np.array([-0.0, -5e-324, 0.0, 5e-324, -0.0]))
+
+    def test_every_exponent(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            x = np.ldexp(rng.random(n) + 1.0, rng.integers(-1074, 1024, n)) * rng.choice([-1.0, 1.0], n)
+            x[rng.random(n) < 0.2] = rng.choice(x, 1)  # ties
+            self.check(x)
+        self.check(np.array([np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324, 0.0]))
+
+    def test_values_apart_in_their_last_bits_are_repaired(self, monkeypatch):
+        # spread values drop low key bits; runs of values a few ulps apart,
+        # in falling input order, share a bucket and hold descents. Off the
+        # sampled slots (every n // 1024-th) of a large side, the side is
+        # sorted once and only those buckets again; below 2048 values the
+        # sample is the side, and the whole side is sorted in two passes
+        rng = np.random.default_rng(7)
+        repaired = whole = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 2048) if trial % 2 else rng.integers(2**13, 2**15))
+            x = rng.standard_normal(n)
+            step = max(1, n // 1024)
+            for _ in range(int(rng.integers(1, 6))):
+                at = rng.choice(n, int(rng.integers(2, 8)), replace=False)
+                at = at[at % step != 0] if step > 1 else at
+                x[at] = x[at[:1]] * (1 + np.arange(at.size)[::-1] * 2.0**-52 * (1 + trial % 3))
+            sizes = self.two_pass_sizes(monkeypatch, x)
+            assert sizes in ([], [n]) if step == 1 else len(sizes) <= 1 and sum(sizes) < 100
+            repaired += step > 1 and len(sizes)
+            whole += sizes == [n]
+        assert repaired >= 20 and whole >= 20
+
+    def test_a_dense_cluster_beside_a_far_point_is_sorted_in_two_passes(self, monkeypatch):
+        # one far point stretches the key range, so the whole cluster shares
+        # a bucket or a few; the sample shows it, and the side is sorted in
+        # two passes from the start
+        rng = np.random.default_rng(11)
+        for n in (1000, 2**14):
+            cluster = 1e9 + rng.random(n) * 1e-3
+            for x in (np.append(cluster, 0.0), np.append(np.round(cluster, 6), 0.0),
+                      np.insert(-cluster, n // 2, 1e300)):
+                assert self.two_pass_sizes(monkeypatch, x) == [n + 1]
+
+    def test_crowded_buckets_the_sample_misses_are_repaired(self, monkeypatch):
+        # pairs a few ulps apart, each pair off the sampled slots: half the
+        # side sits in two-value buckets, and one repair sorts them all
+        rng = np.random.default_rng(19)
+        n = 2**14
+        x = rng.standard_normal(n)
+        odd = np.arange(1, n, 2)
+        x[odd] = x[odd - 1] * (1 - 2.0**-50)
+        x[odd - 1] = x[odd - 1] * (1 - 2.0**-51)
+        sizes = self.two_pass_sizes(monkeypatch, x)
+        assert len(sizes) == 1 and n // 4 < sizes[0] < n
+
+    def test_strided_and_read_only_views(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 500))
+            base = np.round(rng.standard_normal(3 * n), 1)
+            frozen = base[1::3]
+            frozen.flags.writeable = False
+            self.check(base[::3])
+            self.check(frozen)
+            self.check(base[::-3])
+
+    def test_untied_sides_sort_as_the_default_kind_did(self):
+        # without ties every order is the same, so the sorted side reads the
+        # bits a default-kind sort gave, at scales below 0 and, from 2^1021
+        # up, above it
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            n = int(rng.integers(1, 3000))
+            points = np.unique(np.ldexp(rng.standard_normal(n), int(rng.choice([-1070, -5, 0, 1000, 1021]))))
+            points = rng.permutation(points)
+            dist = validate(points[:: 1 + trial % 2], rng.random(points[:: 1 + trial % 2].size) + 0.01)
+            scale = api_scale(dist, dist)
+            positions, cum = cdf1d._sort_side(dist, scale)
+            want_positions, want_cum = default_kind_sort_side(dist, scale)
+            assert positions.tobytes() == want_positions.tobytes()
+            assert cum.tobytes() == want_cum.tobytes()
 
 
 def loop_coupling(a_order, a_ends, b_order, b_ends):
