@@ -94,8 +94,10 @@ def wasserstein_distance(
         holds more at no point, or v at none (both hold equal weights at
         every point), nothing is solved, and the distance is exactly 0.
         NaN coordinates make the distance undefined (``nan``); infinite
-        coordinates on exactly one side make it ``inf``, on both sides
-        undefined.
+        coordinates on exactly one side make it ``inf``. With infinities on
+        both sides, 2D input is undefined, and flat input, as in SciPy's 1D
+        ``wasserstein_distance``, is undefined only where both sides hold
+        the same infinity, sign and all, and ``inf`` otherwise.
 
     Examples
     --------
@@ -121,7 +123,7 @@ def wasserstein_distance(
 
     path = "cdf1d" if flat_inputs else "lp"
     plan, iterations = None, 0
-    special = classify_finiteness(u_dist, v_dist)
+    special = classify_finiteness(u_dist, v_dist, flat_inputs)
     if special is not Finiteness.FINITE:
         distance = math.inf if special is Finiteness.INFINITE else math.nan
     else:

@@ -60,8 +60,8 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int 
     sides hold takes two slots, u's first. A side's CDF at a merged
     position is its running sum after as many of its points as lie at or
     before it, 0 before its first point, divided by its last running sum.
-    That count is ``cumsum(from_u)`` at the last slot of each run of tied
-    positions for u, and that slot's index + 1 less u's count for v.
+    That count is the running count of the slots the side holds, read at
+    the last slot of each run of tied positions.
 
     This is bit for bit the running sum of each side's weights laid into
     its own slots of all n + m sorted points, zeros in the other side's, and
@@ -76,22 +76,33 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int 
     u_positions, u_cum = _sort_side(u, scale)
     v_positions, v_cum = _sort_side(v, scale)
     positions = np.concatenate([u_positions, v_positions])
-    # each array is dropped once it is used up, which keeps the peak memory
-    # of large calls to three outputs, an index and one side's running sum
+    # each array is dropped once it is used up, and each CDF is read into
+    # its count's buffer, so a call holds little more than its outputs. Its
+    # peak is v's sort beside u's outputs, or here the merge's argsort or
+    # a count, beside the positions, each side's running sum or CDF, and a
+    # flag per slot
     del u_positions, v_positions
     from_u = positions.argsort(kind="stable") < u_cum.size
     positions.sort(kind="stable")
-    last = np.append(positions[1:] != positions[:-1], True)
+    last = _run_ends(positions)
     positions = positions[last]
-    index = from_u.cumsum()[last]
-    del from_u
-    index -= 1
-    u_cdf = _cdf_at(u_cum, index)
+    u_cdf = _cdf_at(u_cum, _counted(from_u, last))
     del u_cum
-    # v's count is the slot's index + 1 less u's count
-    np.subtract(last.nonzero()[0], index, out=index)
+    # v holds the slots that u does not
+    np.logical_not(from_u, out=from_u)
+    return MergedSupport(positions, u_cdf, _cdf_at(v_cum, _counted(from_u, last)))
+
+
+def _counted(flags: np.ndarray, last) -> np.ndarray:
+    """One less than the count of set ``flags`` up to and including each slot, read at ``last``.
+
+    The count is an intp copy of the flags summed in place: a cumsum of the
+    bool flags would convert them into a second intp array first.
+    """
+    index = flags.astype(np.intp)
+    index.cumsum(out=index)
     index -= 1
-    return MergedSupport(positions, u_cdf, _cdf_at(v_cum, index))
+    return index[last]
 
 
 def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,15 +134,24 @@ def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.n
         column, scale = np.ldexp(column, -scale), 0
     order, positions = _stable_sort(column)
     np.ldexp(positions, -scale, out=positions)
-    cum = dist.weights.take(order)
-    del order
+    # the order is used up by this take, so the weights go into its buffer;
+    # every index is in range, and "clip" lets NumPy write it in place
+    cum = np.take(dist.weights, order, out=order.view(np.float64), mode="clip")
     cum /= dist.weights.sum()
     cum.cumsum(out=cum)
-    last = positions[1:] != positions[:-1]
-    if last.all():
-        return positions, cum
-    last = np.append(last, True)
+    last = _run_ends(positions)
     return positions[last], cum[last]
+
+
+def _run_ends(positions: np.ndarray):
+    """An index of the last slot of each run of equal sorted ``positions``.
+
+    A bool mask, or all slots as a slice where no two positions are equal,
+    so that indexing by it copies nothing.
+    """
+    last = np.ones(positions.size, bool)
+    np.not_equal(positions[1:], positions[:-1], out=last[:-1])
+    return slice(None) if last.all() else last
 
 
 def _stable_sort(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +182,11 @@ def _order_keys(values: np.ndarray) -> np.ndarray:
     keys &= np.int64(2**63 - 1)
     keys ^= bits
     return keys
+
+
+def _key_values(keys: np.ndarray) -> np.ndarray:
+    """The float64 values whose ``_order_keys`` are the int64 ``keys``: that map undoes itself."""
+    return _order_keys(keys.view(np.float64)).view(np.float64)
 
 
 def _packed_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,18 +222,28 @@ def _packed_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
         return order, ordered
     descents = np.flatnonzero(ordered[1:] < ordered[:-1])
     if descents.size:
-        # each slot's offset again, and the slots of each bucket that holds
-        # a descent, bucket after bucket
-        offset = _order_keys(ordered).view(np.uint64)
-        offset -= np.uint64(low % 2**64)
-        bucket = offset >> drop
-        held = bucket[descents]
-        held = held[np.append(True, held[1:] != held[:-1])]
-        start = bucket.searchsorted(held)
-        size = bucket.searchsorted(held, side="right") - start
+        # the slots of each bucket that holds a descent, from the keys there
+        # alone: the buckets are in order, so searchsorting the values of a
+        # bucket's first and last key into ``ordered`` finds its ends. Where
+        # -0.0 and 0.0, which compare equal, end one bucket and start the
+        # next, the search for either can stop inside the other bucket, but
+        # only if that one holds a descent too: each range starts where the
+        # one before stops, so the two cover both buckets once, as the
+        # ranges of a bucket with several descents cover it once. A key less
+        # ``low`` can wrap in int64, and adding ``low`` back wraps it back
+        step = 1 << int(drop)
+        first = _order_keys(ordered[descents]) - low
+        first &= -step
+        first += low
+        start = ordered.searchsorted(_key_values(first))
+        stop = ordered.searchsorted(_key_values(np.minimum(first + (step - 1), high)), side="right")
+        start[1:] = np.maximum(start[1:], stop[:-1])
+        size = stop - start
         slots = np.arange(size.sum())
         slots += np.repeat(start - size.cumsum() + size, size)
-        moved = slots[_two_pass_order(offset[slots], drop)]
+        offset = _order_keys(ordered[slots]).view(np.uint64)
+        offset -= np.uint64(low % 2**64)
+        moved = slots[_two_pass_order(offset, drop)]
         ordered[slots] = ordered[moved]
         order[slots] = order[moved]
     return order, ordered
@@ -243,15 +278,16 @@ def _index_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _cdf_at(cum: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """A side's CDF read at each ``index`` of its running sum ``cum``, divided by its total.
+    """A side's CDF read at each ``index`` of its running sum ``cum``, divided by its total, into ``index``'s buffer.
 
     ``index`` is non-decreasing, one less than the count of the side's
     points at or before each merged position, so it is -1 before the first
     point, where the CDF is 0. The total is the last running sum, so the
     CDF ends at exactly 1.
     """
-    cdf = cum[index]
-    cdf[: index.searchsorted(0)] = 0.0
+    before = index.searchsorted(0)
+    cdf = np.take(cum, index, out=index.view(np.float64), mode="clip")
+    cdf[:before] = 0.0
     cdf /= cum[-1]
     return cdf
 

@@ -168,20 +168,29 @@ class Finiteness(enum.Enum):
     UNDEFINED = "undefined"
 
 
-def classify_finiteness(u: DiscreteDistribution, v: DiscreteDistribution) -> Finiteness:
+def classify_finiteness(u: DiscreteDistribution, v: DiscreteDistribution, flat: bool = False) -> Finiteness:
     """Classify a pair of distributions by their special coordinate values.
 
     Any NaN coordinate makes the distance undefined. Infinite coordinates on
-    exactly one side force an infinite distance; on both sides the result is
-    sign-dependent and therefore undefined as well.
+    exactly one side force an infinite distance. With infinities on both
+    sides, points in several dimensions give an undefined distance, as in
+    SciPy's ``wasserstein_distance_nd``. ``flat`` samples follow SciPy's 1D
+    ``wasserstein_distance``: undefined only where the same infinity, sign
+    and all, lies on both sides, and infinite otherwise, since mass at an
+    infinity the other side lacks moves an infinite distance.
     """
     u_nan, u_inf = _special_values(u.points)
     v_nan, v_inf = _special_values(v.points)
-    if u_nan or v_nan or (u_inf and v_inf):
+    if u_nan or v_nan or (u_inf and v_inf and (not flat or _infinities(u) & _infinities(v))):
         return Finiteness.UNDEFINED
     if u_inf or v_inf:
         return Finiteness.INFINITE
     return Finiteness.FINITE
+
+
+def _infinities(dist: DiscreteDistribution) -> set:
+    """The infinite coordinate values of ``dist``: a subset of {-inf, inf}."""
+    return set(dist.points[np.isinf(dist.points)].tolist())
 
 
 def _special_values(points: np.ndarray):

@@ -112,14 +112,23 @@ class TestDispatch:
     def test_flat_call_peak_memory_per_input_point(self):
         # the pairs and pins of test_cdf1d's test_peak_memory_per_input_point:
         # a flat call makes no copy of its float64 input to scale or normalize
-        # it, so its peak is that of cdf_distance_1d, measured 21.3 and 36.5
-        # bytes a point (37.3 and 52.5 while api held scaled points and
-        # normalized weights, 16 bytes a point, through the whole call)
+        # it, so its peak is that of cdf_distance_1d, measured 17.31, 28.45
+        # and 17.31 bytes a point (21.3, 36.5 and 21.3 while each side's
+        # weights and each CDF took buffers of their own; 37.3 and 52.5 on
+        # the first two while api held scaled points and normalized weights,
+        # 16 bytes a point, through the whole call)
         rng = np.random.default_rng(7)
         n, m = 2**16, 3 * 2**14
         tied = (rng.standard_normal(n), rng.random(n), np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m))
         untied = (rng.standard_normal(n), rng.random(n), rng.standard_normal(m), rng.random(m))
-        for (u, u_w, v, v_w), pin in ((tied, 24), (untied, 38)):
+        # u's runs of values a few ulps apart, off the sampled slots, make
+        # its sort repair a few buckets
+        x = rng.standard_normal(n)
+        runs = np.arange(1, n, n // 64)
+        for k in range(4):
+            x[runs + k] = x[runs] * (1 + (4 - k) * 2.0**-52)
+        repairing = (x, rng.random(n), np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m))
+        for (u, u_w, v, v_w), pin in ((tied, 18), (untied, 29), (repairing, 18)):
             tracemalloc.start()
             try:
                 wasserstein_distance(u, v, u_w, v_w)
@@ -179,9 +188,23 @@ class TestSpecialValues:
         assert math.isinf(result.distance)
 
     def test_two_sided_infinity_is_undefined(self):
-        result = wasserstein_distance([np.inf, 1.0], [-np.inf, 2.0])
-        assert math.isnan(result.distance)
-        assert result.finiteness is Finiteness.UNDEFINED
+        # flat input, as SciPy's 1D wasserstein_distance has it: only the
+        # same infinity on both sides; 2D input, as wasserstein_distance_nd
+        # has it: any infinities on both sides
+        for u, v in (([np.inf, 1.0], [np.inf, 2.0]), ([1.0, -np.inf, np.inf], [-np.inf, 2.0]),
+                     ([[np.inf, 1.0]], [[-np.inf, 2.0]]), ([[np.inf], [1.0]], [[-np.inf], [2.0]])):
+            result = wasserstein_distance(u, v)
+            assert math.isnan(result.distance)
+            assert result.finiteness is Finiteness.UNDEFINED
+
+    def test_opposite_flat_infinities_are_infinite(self):
+        # the mass u holds at +inf moves an infinite distance to anything v
+        # holds; before, this pair read nan, where SciPy reads inf
+        for u, v in (([np.inf, 1.0], [-np.inf, 2.0]), ([1.0, 2.0, np.inf], [-np.inf, 1.0])):
+            for result in (wasserstein_distance(u, v), wasserstein_distance(v, u, want_plan=True)):
+                assert result.distance == math.inf
+                assert result.finiteness is Finiteness.INFINITE
+                assert result.plan is None
 
     def test_nan_is_undefined(self):
         result = wasserstein_distance([[np.nan, 0.0]], [[1.0, 2.0]])

@@ -238,19 +238,30 @@ class TestMergedSupport:
                 for name in ("positions", "u_cdf", "v_cdf"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
-    def test_peak_memory_per_input_point(self):
-        # cdf_distance_1d, so merged_support and the tail, measured 21.3 bytes
-        # a point on the tied pair and 36.4 on the untied one (29.0 and 40.0
-        # when each CDF was a running sum over all n + m slots). The untied
-        # peak is the three outputs, one index and v's running sum; one more
-        # 8-byte temporary per point at the peak passes either pin
+    def test_peak_memory_per_input_point(self, monkeypatch):
+        # cdf_distance_1d, so merged_support and the tail, measured 17.32
+        # bytes a point on the tied pair, 28.45 on the untied one and 17.32
+        # on the repairing one (21.3, 36.4 and 21.3 while each side's
+        # weights and each CDF took buffers of their own). The tied and
+        # repairing peaks are v's sort while u's outputs are held, the
+        # untied one v's count beside the positions, u's CDF and v's running
+        # sum. u of the repairing pair holds runs of values a few ulps apart,
+        # falling in input order, off the sampled slots, so its sort repairs
+        # a few buckets; it read 18.5 while the repair took the keys of the
+        # whole side again
         rng = np.random.default_rng(7)
         n, m = 2**16, 3 * 2**14
         tied = (dist1d(rng.standard_normal(n), rng.random(n)),
                 dist1d(np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m)))
         untied = (dist1d(rng.standard_normal(n), rng.random(n)),
                   dist1d(rng.standard_normal(m), rng.random(m)))
-        for (u, v), pin in ((tied, 24), (untied, 38)):
+        x = rng.standard_normal(n)
+        runs = np.arange(1, n, n // 64)
+        for k in range(4):
+            x[runs + k] = x[runs] * (1 + (4 - k) * 2.0**-52)
+        assert 0 < sum(TestStableSort.two_pass_sizes(monkeypatch, x)) < 1000
+        repairing = (dist1d(x, rng.random(n)), dist1d(np.round(rng.normal(0.1, 1.2, m), 3), rng.random(m)))
+        for (u, v), pin in ((tied, 18), (untied, 29), (repairing, 18)):
             tracemalloc.start()
             try:
                 cdf_distance_1d(u, v)
@@ -387,6 +398,106 @@ class TestStableSort:
             want_positions, want_cum = default_kind_sort_side(dist, scale)
             assert positions.tobytes() == want_positions.tobytes()
             assert cum.tobytes() == want_cum.tobytes()
+
+
+    def test_buckets_on_either_side_of_zero_are_repaired(self, monkeypatch):
+        # where the smallest key is a multiple of the bucket width, -0.0
+        # ends a bucket and 0.0 starts the next; the two compare equal, so
+        # the repair's search for that boundary can stop inside either
+        # bucket. Tiny values of either sign, or of one, or in order on one
+        # side, sit off the sampled slots, so only their buckets are repaired
+        rng = np.random.default_rng(23)
+        n = 2**13
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1.5e-323, -1.5e-323])
+        off_sample = np.flatnonzero(np.arange(n) % 8)
+        repaired = 0
+        for trial in range(40):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            # rounding the lowest key down to a multiple of twice the width
+            # can widen the range, and so the buckets, by one bit at most
+            keys = cdf1d._order_keys(x)
+            drop = (int(keys.max()) - int(keys.min())).bit_length() + 13 - 64
+            lowest = int(keys.argmin())
+            key = int(keys[lowest])
+            x[lowest] = cdf1d._key_values(np.array([key - key % 2 ** (drop + 1)]))[0]
+            keys = cdf1d._order_keys(x)
+            drop = (int(keys.max()) - int(keys.min())).bit_length() + 13 - 64
+            at = np.sort(rng.choice(off_sample, int(rng.integers(2, 40)), replace=False))
+            pool = (tiny, tiny[tiny <= 0], tiny[~np.signbit(tiny)], tiny, tiny)[trial % 5]
+            x[at] = rng.choice(pool, at.size)
+            if trial % 5 > 2:
+                side = at[np.signbit(x[at]) == (trial % 5 == 3)]
+                x[side] = np.sort(x[side])
+            sizes = self.two_pass_sizes(monkeypatch, x)
+            assert drop > 0 and int(keys.min()) % 2**drop == 0 and n not in sizes
+            repaired += bool(sizes)
+        assert repaired >= 30
+
+
+class TestNumpyBehaviour:
+    """What the 1D path relies on NumPy for, beyond what its documentation states."""
+
+    def test_take_into_its_own_index_buffer(self):
+        # _sort_side and _cdf_at take into the buffer of the intp index they
+        # read from: with mode="clip" NumPy writes there directly, reading
+        # each index before it writes that slot, and clips -1 to 0
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 7, 2**16):
+            values = rng.standard_normal(n)
+            index = np.concatenate([[-1, n - 1, 0], rng.integers(-1, n, n)])
+            want = np.take(values, index, mode="clip")
+            tracemalloc.start()
+            try:
+                got = np.take(values, index, out=index.view(np.float64), mode="clip")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes()
+            assert got.base is index and peak < 4096
+
+    def test_cumsum_in_place(self):
+        # _counted sums an intp copy of the flags into itself; a cumsum of
+        # the bool flags would allocate an intp copy of its input
+        rng = np.random.default_rng(31)
+        flags = rng.random(2**16) < 0.4
+        index = flags.astype(np.intp)
+        tracemalloc.start()
+        try:
+            got = index.cumsum(out=index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, np.cumsum(flags))
+        assert got is index and peak < 4096
+
+    def test_searchsorted_stops_where_the_comparison_turns(self):
+        # _packed_sort searchsorts into an array that is in order only
+        # between buckets: binary search still stops where the values go
+        # from below the key to not below it (above it, for side="right"),
+        # at a slot where they do so in any order of the values
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            sizes = rng.integers(0, 20, 6)
+            values = np.concatenate([rng.permutation(np.arange(s) * 0.01 + k) for k, s in enumerate(sizes)])
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            np.testing.assert_array_equal(values.searchsorted(np.arange(6.0)), bounds[:-1])
+            np.testing.assert_array_equal(values.searchsorted(np.arange(6.0) + 0.5, side="right"), bounds[1:])
+            mixed = rng.choice([-1.0, -0.0, 0.0, 1.0], int(rng.integers(1, 30)))
+            for side, below in (("left", mixed < 0.0), ("right", mixed <= -0.0)):
+                k = mixed.searchsorted(0.0 if side == "left" else -0.0, side=side)
+                assert (k == 0 or below[k - 1]) and (k == mixed.size or not below[k])
+
+    def test_int64_arithmetic_wraps(self):
+        # _packed_sort finds a bucket's first key as (key - low) & -step,
+        # plus low again, in int64: key - low can pass 2^63 and wraps, with
+        # no warning, and adding low wraps it back
+        keys = cdf1d._order_keys(np.array([-1e308, -1.0, 0.0, 3.0, 1e308, np.inf]))
+        low, step = int(keys[0]), 2**20
+        first = keys - low
+        assert first[-1] < 0  # wrapped
+        first &= -step
+        first += low
+        assert first.tolist() == [low + (int(k) - low) // step * step for k in keys]
 
 
 def loop_coupling(a_order, a_ends, b_order, b_ends):

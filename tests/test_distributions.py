@@ -220,6 +220,13 @@ class TestClassifyFiniteness:
         v = validate([-np.inf, 3])
         assert classify_finiteness(u, v) is Finiteness.UNDEFINED
 
+    def test_flat_infinities_are_undefined_only_where_their_signs_meet(self):
+        u = validate([np.inf, 1])
+        for v, want in (([-np.inf, 3], Finiteness.INFINITE), ([np.inf, 3], Finiteness.UNDEFINED),
+                        ([-np.inf, np.inf], Finiteness.UNDEFINED), ([3, 4], Finiteness.INFINITE)):
+            assert classify_finiteness(u, validate(v), flat=True) is want
+            assert classify_finiteness(validate(v), u, flat=True) is want
+
     def test_nan_undefined(self):
         u = validate([np.nan, 1])
         v = validate([2, 3])
@@ -240,3 +247,5 @@ class TestClassifyFiniteness:
                 pts_v[rng.integers(pts_v.shape[0]), rng.integers(2)] = rng.choice(specials)
             u, v = validate(pts_u), validate(pts_v)
             assert classify_finiteness(u, v) is classify_finiteness(v, u)
+            u, v = validate(pts_u[:, 0]), validate(pts_v[:, 0])
+            assert classify_finiteness(u, v, flat=True) is classify_finiteness(v, u, flat=True)
