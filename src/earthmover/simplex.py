@@ -50,10 +50,15 @@ Pivot. Pricing reads the reduced cost cost[i, j] - potential[i] -
 potential[n + j] of a block of rows at a time, computed from the potentials
 the tree keeps in step with its pivots. Each block is BLOCK_CELLS / m rows,
 rounded up, and the last one is cut at row n. The scan goes round the blocks
-in order, from the first one, and keeps its place between pivots; a block
-holding a reduced cost below -OPTIMALITY_TOL gives its most negative cell,
-which enters, and the scan goes on at the next block (block search, as in
-LEMON's network simplex; Kovacs 2015). It ends after a full round of blocks
+in order, from the first one, and keeps its place between pivots. Pricing a
+block takes the most negative cell of each of its rows, and each row whose
+cell is below -OPTIMALITY_TOL gives a candidate (multiple partial pricing:
+Maros, *Computational Techniques of the Simplex Method*, 2003, ch. 9; block
+search and the candidate list of LEMON's network simplex, Kovacs 2015). The
+candidates enter one a pivot, in order of their priced reduced cost, ties by
+row: the first as priced, and each later one only if, priced again from the
+potentials the pivots before it left, it is still below -OPTIMALITY_TOL.
+Then the scan goes on at the next block. It ends after a full round of blocks
 gives no cell. The entering cell (i, j) closes a cycle through the tree
 paths from i and from j up to their apex. Flow theta moves round it: the
 cells above the sources on i's path and above the targets on j's path lose
@@ -79,10 +84,10 @@ the one a fresh ``SpanningTree(cost, parent, flow)`` would derive.
 
 A pivot touches only the cycle and the moved subtree, measured per pivot on
 the benchmark's seed-1 and seed-7 pools: on 128 x 128 assignments, a cycle of
-a median of 19 to 21 nodes below the apex (mean 22 to 24) and a moved
-subtree of a median of 2 nodes (mean 18 to 20); on the weighted points of an
-8 x 8 grid, which reach the solver as residual problems of 27 to 41 sources
-and 22 to 37 sinks, a median of 9 (mean 10) and of 11 to 12 (mean 17). So
+a median of 7 nodes below the apex (mean 11) and a moved subtree of a median
+of 2 nodes (mean 20); on the weighted points of an 8 x 8 grid, which reach
+the solver as residual problems of 27 to 41 sources and 22 to 37 sinks, a
+median of 5 to 7 (mean 7) and of 8 to 9 (mean 14 to 16). So
 the tree update is scalar walks over the lists, as in LEMON's network
 simplex: the walk up the cycle by depth, which also makes the ratio test;
 the flow shift over the cycle and the re-rooting over the path; and one walk
@@ -110,9 +115,10 @@ nearest the apex, whose subtree is the largest, else the cell above a source
 Each pivot therefore moves a positive perturbed amount round a cycle of
 negative reduced cost, the perturbed objective falls strictly, no basis
 repeats, and no fallback rule such as Bland's is needed. Any negative
-entering cost will do, not only the most negative, so block search keeps
-the argument. It needs every supply and demand positive, which
-``build_problem`` guarantees.
+entering cost will do, not only the most negative, so the candidates keep
+the argument: each enters only at a reduced cost below -OPTIMALITY_TOL,
+read from the potentials of the tree it enters. It needs every supply and
+demand positive, which ``build_problem`` guarantees.
 
 The objective is kept up to date as theta times the entering reduced cost,
 so the per-pivot callback costs nothing extra.
@@ -136,19 +142,27 @@ __all__ = ["SpanningTree", "initial_basis", "pivot_budget", "solve"]
 # its path to the root: depth * 2^-54 while potentials stay below 1. A
 # reduced cost adds two of these and two roundings of its own, so its noise
 # stays below this tolerance in trees up to ~900 deep. Depths and potentials
-# are measured at every pivot, not bounded: the deepest tree seen was 491,
-# with potentials below 0.95 (uniform 2048 x 2048 from default_rng(5)); on
-# the bench pools of lp_assignment and lp_weighted (seeds 1 and 7) 101, with
-# potentials below 0.91 and within 3.3e-16 of their exact values. On the
-# pools every entering cell had a negative exact reduced cost, the smallest
-# in magnitude 5.1e-7, so no zero-gain cell entered.
+# are measured at every pivot, not bounded. On the bench pools of
+# lp_assignment and lp_weighted (seeds 1 and 7) the deepest tree was 105, with
+# potentials below 0.81 and within 2.8e-16 of their exact values, and every
+# entering cell had a negative exact reduced cost, the smallest in magnitude
+# 9.4e-8, so no zero-gain cell entered. On uniform 2048 x 2048 from
+# default_rng(5) the deepest was 491, but potentials reached 1.17, where half
+# an ulp is 2^-53, so the bound above covers only ~450 deep there. Summed
+# along the actual paths, half an ulp of each potential, at every 200th pivot
+# it stayed below 1.1e-14, and the potentials were within 5.5e-16 of exact.
 OPTIMALITY_TOL = 1e-13
-# Cells priced per block, as whole rows: ceil(BLOCK_CELLS / m) of them. A
-# small block pays NumPy's fixed cost per call more often and takes more
-# pivots; one as large as the matrix recomputes every reduced cost on every
-# pivot. Of 1024, 2048, 3072 and 4096 cells, 2048 gave the fastest 128 x 128
-# solves on a 2-vCPU VM, and 2048 x 2048 solves there in ~2 s.
-BLOCK_CELLS = 2048
+# Cells priced per block, as whole rows: ceil(BLOCK_CELLS / m) of them. One
+# block feeds a pivot from each of its rows whose candidate is still
+# negative when its turn comes, so a larger block serves more pivots a scan,
+# but prices more cells a scan and leaves more candidates stale. Whole
+# solves, in-process time against the 2048-cell block that fed one pivot a
+# scan (medians of 7 interleaved rounds, shared 2-vCPU VM): 16384 cells read
+# 0.72-0.82 on the lp_assignment seed-1 pool, whose 128 x 128 matrix is one
+# block serving ~33 pivots, 0.81-0.91 at uniform 512 x 512 and 1024 x 1024,
+# and 0.95-1.02 at 2048 x 2048; 8192 cells 0.77-0.79 on that pool and
+# 0.91-1.04 at 512 x 512; 32768 and 65536 cells 0.87-0.95 at 512 x 512.
+BLOCK_CELLS = 16384
 
 
 class SpanningTree:
@@ -409,32 +423,43 @@ def solve(problem: TransportProblem, callback=None) -> TransportSolution:
 
 
 def _entering(cost: np.ndarray, potential: np.ndarray, tol: float):
-    """Entering cells by block search: yields (i, j, gain) until a full round of blocks gives none.
+    """Entering cells, several a block scan: yields (i, j, gain) until a full round gives none.
 
     Blocks are ceil(BLOCK_CELLS / m) rows of ``cost``, the last one cut at
-    row n, scanned round in order from the first. Each block computes its
-    reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the potentials
-    ``u`` of the sources and ``v`` of the targets. The slices are views,
+    row n, scanned round in order from the first. Pricing a block computes
+    its reduced costs ``cost[r0:r1] - u[r0:r1, None] - v`` from the
+    potentials ``u`` of the sources and ``v`` of the targets, and takes the
+    most negative cell of each row. The rows whose cell is below -tol are
+    the block's candidates, in order of that reduced cost, ties by row. Each
+    is priced again as ``cost.item(i, j) - potential.item(i) -
+    potential.item(n + j)``, the same two subtractions in the same order:
+    the first candidate reads its block's value bit for bit, and a later one
+    reads the potentials that the pivots on the earlier ones left. A
+    candidate still below -tol is yielded with that reduced cost; after the
+    last one the scan goes on at the next block. The slices are views,
     taken once when the scan starts, so each block reads the potentials as
-    they stand when it is priced, and a pivot made between two cells is
-    seen. A block whose most
-    negative cell is below -tol yields that cell and its reduced cost, and
-    the scan goes on at the next block.
+    they stand when it is priced.
     """
     n, m = cost.shape
     rows = -(-BLOCK_CELLS // m)
     u, v = potential[:n], potential[n:]
-    blocks = [(r0, cost[r0:r0 + rows], u[r0:r0 + rows, None]) for r0 in range(0, n, rows)]
+    blocks = [(r0, cost[r0:r0 + rows], u[r0:r0 + rows, None], np.arange(min(rows, n - r0)))
+              for r0 in range(0, n, rows)]
     block = idle = 0
     while idle < len(blocks):
-        r0, block_cost, block_u = blocks[block]
+        r0, block_cost, block_u, at_rows = blocks[block]
         block = (block + 1) % len(blocks)
         idle += 1
         reduced = block_cost - block_u
         reduced -= v
-        k = int(reduced.argmin())
-        gain = reduced.item(k)
-        if gain < -tol:
-            i, j = divmod(k, m)
-            idle = 0
-            yield r0 + i, j, gain
+        cols = reduced.argmin(axis=1)
+        gains = reduced[at_rows, cols]
+        found = np.flatnonzero(gains < -tol)
+        found = found[np.argsort(gains[found], kind="stable")]
+        for i, j in zip((found + r0).tolist(), cols[found].tolist()):
+            # unchanged for the first candidate; an earlier pivot may have
+            # lifted a later one
+            gain = cost.item(i, j) - potential.item(i) - potential.item(n + j)
+            if gain < -tol:
+                idle = 0
+                yield i, j, gain

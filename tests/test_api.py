@@ -636,7 +636,7 @@ class TestRepeatedPoints:
         u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
         direct = solve(build_problem(pairwise_costs(u, v), u.weights, v.weights))
         assert result.distance == solution_distance(direct)
-        assert result.iterations == 45
+        assert result.iterations == 63
         assert result.plan.rows.tolist() == list(range(40))
         assert result.plan.cols.tolist() == [
             33, 6, 36, 9, 28, 14, 10, 37, 25, 23, 29, 16, 15, 19, 12, 31, 18, 3, 30, 26,

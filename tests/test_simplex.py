@@ -263,11 +263,11 @@ class TestSolve:
     @pytest.mark.parametrize(
         "family, seed, iterations, distance",
         [
-            ("uniform", 3, 45, "0x1.f4f67faed5164p-4"),
-            ("uniform", 4, 58, "0x1.2701b6eb73971p-3"),
-            ("grid", 5, 47, "0x1.8773b8b6b33f2p-1"),
-            ("grid", 6, 47, "0x1.22d7359cfcd99p+0"),
-            ("blocks", 7, 241, "0x1.7aae0f534c8f8p-4"),
+            ("uniform", 3, 63, "0x1.f4f67faed5164p-4"),
+            ("uniform", 4, 95, "0x1.2701b6eb73971p-3"),
+            ("grid", 5, 53, "0x1.8773b8b6b33f2p-1"),
+            ("grid", 6, 56, "0x1.22d7359cfcd99p+0"),
+            ("blocks", 7, 844, "0x1.40db2d3514d19p-4"),
         ],
     )
     def test_pivot_sequence_is_pinned(self, family, seed, iterations, distance):
@@ -279,11 +279,11 @@ class TestSolve:
             pts_u, pts_v = rng.random((40, 2)), rng.random((40, 2))
             u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
         elif family == "blocks":
-            # more rows than one pricing block, and not a multiple of its
+            # at least three pricing blocks, and not a multiple of their
             # rows, so the scan wraps round a partial last block
             rows = -(-simplex.BLOCK_CELLS // 90)
-            assert 100 > rows and 100 % rows
-            pts_u, pts_v = rng.random((100, 2)), rng.random((90, 2))
+            assert 400 > 2 * rows and 400 % rows
+            pts_u, pts_v = rng.random((400, 2)), rng.random((90, 2))
             u, v = normalize(validate(pts_u)), normalize(validate(pts_v))
         else:
             pts_u = rng.integers(0, 6, (48, 2)).astype(float)
@@ -419,7 +419,7 @@ class TestSolve:
         # the cycle whose perturbed flow is the unique smallest
         rng = np.random.default_rng(94)
         entered = tied = across = 0
-        for trial in range(40):
+        for trial in range(80):
             # points on an integer grid, with equal weights (flows 0 or 1/n,
             # so zeros tie on i's side) or integer masses of one total (flows
             # are integers, so the two sides tie too)
@@ -538,6 +538,69 @@ class TestSolve:
                 for b in range(blocks):
                     plant(planted, b * rows, 0, -0.5)
                 assert next(scan)[:2] == (after * rows, 0)
+
+    def test_one_scan_feeds_several_pivots(self, monkeypatch):
+        # a scan's candidates are each row's most negative cell; they enter
+        # in order of their priced gain, ties by row, each priced again from
+        # the potentials as the pivots before it left them. Same 4 blocks of
+        # 11 rows as above; dyadic potentials and costs make every gain
+        # exact until the potentials are moved by amounts that round.
+        monkeypatch.setattr(simplex, "BLOCK_CELLS", 300)
+        n, m = 37, 29
+        tol = simplex.OPTIMALITY_TOL
+        rng = np.random.default_rng(91)
+        potential = rng.integers(0, 64, n + m) / 64
+        cost = potential[:n, None] + potential[None, n:] + 0.5 + rng.integers(0, 64, (n, m)) / 64
+
+        def plant(i, j, gain):
+            cost[i, j] = potential[i] + potential[n + j] + gain
+
+        def fresh(i, j):
+            return (cost[i, j] - potential[i]) - potential[n + j]
+
+        # block 1: five rows with a negative cell, two of them with a second,
+        # weaker one that is not their row's minimum
+        planted = [(15, 7, -0.5), (15, 9, -0.375), (12, 3, -0.25), (12, 20, -0.0625),
+                   (14, 2, -0.25), (18, 0, -0.25), (20, 5, -0.125)]
+        for i, j, gain in planted:
+            plant(i, j, gain)
+        scan = simplex._entering(cost, potential, tol)
+        assert next(scan) == (15, 7, -0.5)
+        assert next(scan) == (12, 3, -0.25)
+        # a pivot lifted (14, 2) to zero and moved the other potentials by
+        # amounts that round: (14, 2) is skipped, and the next gains are
+        # priced afresh
+        noise = rng.random(n + m) * 2.0**-20
+        noise[[14, n + 2]] = 0.0
+        potential += noise
+        potential[14] -= 0.25
+        assert fresh(14, 2) == 0.0
+        for cell in [(18, 0), (20, 5)]:
+            i, j, gain = next(scan)
+            assert (i, j) == cell
+            assert gain.hex() == fresh(i, j).hex()
+            # c - (u + v) rounds otherwise here, so the order of the two
+            # subtractions is checked too
+            assert gain != cost[i, j] - (potential[i] + potential[n + j])
+            potential += rng.random(n + m) * 2.0**-20
+        for i, j, _ in planted:
+            plant(i, j, 0.5)
+
+        # block 2, reached next: its first candidate enters even when every
+        # later one is lifted before its turn; block 3's only candidate, just
+        # below -tol, enters too, and once the two entered cells are priced
+        # at zero a full round finds nothing
+        plant(25, 4, -0.5)
+        plant(30, 6, -0.25)
+        plant(34, 1, -(2.0**-43))
+        assert fresh(34, 1) < -tol
+        assert next(scan)[:2] == (25, 4)
+        potential[30] -= 0.5
+        i, j, gain = next(scan)
+        assert (i, j) == (34, 1) and gain.hex() == fresh(34, 1).hex()
+        plant(25, 4, 0.0)
+        plant(34, 1, 0.0)
+        assert next(scan, None) is None
 
     def test_pivots_keep_the_tree_structure(self, monkeypatch):
         # the cycle walk reads depth and the subtree walk reads kids; check

@@ -21,10 +21,12 @@ Run from the root of a source checkout; the library is imported from
 
     python tools/fingerprint.py
 
-It prints one line per pool with that pool's hash, so a difference can be
-traced to its pool, and then the ``fingerprint`` line, a hash over all of
-them. Two checkouts that print the same fingerprint computed the same
-distances, pivots and plans. It takes a few seconds.
+It prints one line per pool: the pool's hash, its label and the total of
+its pivot counts (0 on the 1D pools), so a difference can be traced to its
+pool and a change of pivot rule shows how many pivots it added or saved.
+The last line, ``fingerprint``, is a hash over the pool hashes alone. Two
+checkouts that print the same fingerprint computed the same distances,
+pivots and plans. It takes a few seconds.
 
 ``tools/fingerprint.txt`` holds the nine lines the tool prints on the
 current tree, and ``tests/test_fingerprint.py`` asserts that the output
@@ -77,16 +79,18 @@ def unusual_1d():
     return instances
 
 
-def pool_digest(instances) -> str:
-    """SHA-1 of the distance, pivots and plan of every instance, in order."""
+def pool_digest(instances) -> tuple:
+    """SHA-1 of the distance, pivots and plan of every instance, in order, and the pivot total."""
     digest = hashlib.sha1()
+    pivots = 0
     for inst in instances:
         result = wasserstein_distance(*inst.args(), want_plan=True)
         digest.update(f"{result.distance.hex()} {result.iterations}\n".encode())
+        pivots += result.iterations
         plan = result.plan
         for array in (plan.rows, plan.cols, plan.mass):
             digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+    return digest.hexdigest(), pivots
 
 
 def main() -> int:
@@ -97,9 +101,9 @@ def main() -> int:
     pools.append(("strided, int and read-only 1D 2^15 x4 default_rng(6)", unusual_1d()))
     total = hashlib.sha1()
     for label, instances in pools:
-        digest = pool_digest(instances)
+        digest, pivots = pool_digest(instances)
         total.update(digest.encode())
-        print(f"{digest}  {label}")
+        print(f"{digest}  {label}  {pivots} pivots")
     print(f"{total.hexdigest()}  fingerprint")
     return 0
 
