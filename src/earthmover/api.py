@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cdf1d import cdf_distance_1d, greedy_plan_1d, monotone_coupling
+from .cdf1d import cdf_distance_1d, monotone_coupling
 from .distributions import (
     Finiteness, as_float_array, classify_finiteness, merge_duplicates, normalize, validate,
 )
@@ -71,12 +71,14 @@ def wasserstein_distance(
     want_plan : bool, optional
         Attach the optimal plan, only for finite distances: a ``TransportPlan``
         whose entry k moves ``mass[k]`` from u point ``rows[k]`` to v point
-        ``cols[k]``, indices of the input points. It is built on the 1D path
-        from the quantile form. On the LP path, the residual plan (see
-        Returns) plus one entry per point that both sides hold, which keeps
-        the shared mass in place, is split among the points' copies of
-        positive weight, in input order, so the plan still has at most
-        n + m - 1 entries and a point of zero weight gets no flow.
+        ``cols[k]``, indices of the input points. On the 1D path it is the
+        monotone coupling of the quantile form, cut from the order and the
+        running sum of the one sort of each side that the distance makes, so
+        a point of zero weight gets no flow. On the LP path, the residual
+        plan (see Returns) plus one entry per point that both sides hold,
+        which keeps the shared mass in place, is split among the points'
+        copies of positive weight, in input order, so the plan still has at
+        most n + m - 1 entries and a point of zero weight gets no flow.
 
     Returns
     -------
@@ -137,10 +139,12 @@ def wasserstein_distance(
         if flat_inputs:
             # the 1D distance scales and normalizes the sorted copies it makes
             # anyway, so the sides go in as validated, with no copy to scale
-            # or normalize; only the plan needs the scaled, normalized sides
-            distance = cdf_distance_1d(u_dist, v_dist, scale)
+            # or normalize; the plan couples each side's order and running
+            # sum from that same sort
+            sorts = [] if want_plan else None
+            distance = cdf_distance_1d(u_dist, v_dist, scale, sorts)
             if want_plan:
-                plan = greedy_plan_1d(_scaled(u_dist, scale), _scaled(v_dist, scale))
+                plan = TransportPlan(u_dist.size, v_dist.size, *monotone_coupling(*sorts[0], *sorts[1]))
         else:
             u_dist = _scaled(u_dist, scale)
             v_dist = _scaled(v_dist, scale)
@@ -215,8 +219,8 @@ def wasserstein_distance(
 def _scaled(dist, scale):
     """``dist`` normalized to total mass one, on its points scaled by 2^-scale.
 
-    The one place that normalizes weights, for the LP and the 1D plan; the
-    1D distance divides each side's sorted weights by the same total, in
+    The LP path's one place that normalizes weights; the 1D path, distance
+    and plan, divides each side's sorted weights by the same total, in
     ``cdf1d._sort_side``.
     """
     return replace(normalize(dist), points=np.ldexp(dist.points, -scale))

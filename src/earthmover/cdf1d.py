@@ -9,8 +9,10 @@ sum, and its ties are merged to the last point of each run.
 One stable sort merges the two sides' distinct positions; each CDF is read
 off its side's running sum by the count of that side's points at or before
 each merged position. ``cdf_distance_1d`` computes the integrand in the
-support's own buffers. ``greedy_plan_1d`` builds the monotone plan of the
-same cost from the quantile form of that integral.
+support's own buffers. Given a list, it also hands back each side's order
+and running sum from before its ties merge, the quantile form of the same
+integral, from which ``wasserstein_distance`` builds the monotone plan with
+``monotone_coupling``: each side is sorted once per call.
 
 ``merged_support`` and ``cdf_distance_1d`` take the distributions as
 validated, weights as given and points unscaled, plus a point scale.
@@ -19,9 +21,9 @@ weights' sum; ``_sort_side`` applies both to the sorted copies it makes
 anyway, so the distance copies no input array to scale or normalize it.
 
 ``monotone_coupling`` is the north-west corner rule that cuts a plan along
-a mass axis. It is the plan rule of both paths: ``greedy_plan_1d`` applies
-it to the two sides' cumulative weights, and the LP path's plan split
-(``api._split``) to a merged point's plan entries and copies.
+a mass axis. It is the plan rule of both paths: the 1D plan applies it to
+the two sides' running sums, and the LP path's plan split (``api._split``)
+to a merged point's plan entries and copies.
 """
 
 from dataclasses import dataclass
@@ -29,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .transport_lp import TransportPlan
 
-__all__ = ["MergedSupport", "merged_support", "monotone_coupling", "cdf_distance_1d", "greedy_plan_1d"]
+__all__ = ["MergedSupport", "merged_support", "monotone_coupling", "cdf_distance_1d"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ class MergedSupport:
     v_cdf: np.ndarray
 
 
-def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int = 0) -> MergedSupport:
+def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int = 0,
+                   sorts: list = None) -> MergedSupport:
     """Merge both supports into one sorted, deduplicated grid with both CDFs on it.
 
     The positions are the points scaled by 2^-scale, and each side's
@@ -72,9 +74,12 @@ def merged_support(u: DiscreteDistribution, v: DiscreteDistribution, scale: int 
     position from the last point of its run of ties, so even the sign of a
     zero position is kept. The one difference is the sign of a zero CDF
     value after weights of -0.0, which |U - V| does not see.
+
+    Where ``sorts`` is a list, ``_sort_side`` appends u's and then v's
+    order and running sum to it.
     """
-    u_positions, u_cum = _sort_side(u, scale)
-    v_positions, v_cum = _sort_side(v, scale)
+    u_positions, u_cum = _sort_side(u, scale, sorts)
+    v_positions, v_cum = _sort_side(v, scale, sorts)
     positions = np.concatenate([u_positions, v_positions])
     # each array is dropped once it is used up, and each CDF is read into
     # its count's buffer, so a call holds little more than its outputs. Its
@@ -105,7 +110,7 @@ def _counted(flags: np.ndarray, last) -> np.ndarray:
     return index[last]
 
 
-def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.ndarray]:
+def _sort_side(dist: DiscreteDistribution, scale: int, sorts: list = None) -> tuple[np.ndarray, np.ndarray]:
     """Return ``dist``'s distinct positions in increasing order and its running weight at each.
 
     The points are sorted, and their weights are taken in that order and
@@ -128,17 +133,25 @@ def _sort_side(dist: DiscreteDistribution, scale: int) -> tuple[np.ndarray, np.n
     a tie's weights are summed in input order, on every CPU and NumPy
     version, and -0.0 ties with 0.0, as ``==`` has it. A side without ties
     reads the same bits in any order.
+
+    Where ``sorts`` is a list, the order and the running sum of all n
+    points, from before the ties merge, are appended to it as a pair: bit
+    for bit the stable order of the scaled points and the running sum of
+    the normalized weights taken in it, as the scaled, normalized
+    distribution would give them.
     """
     column = dist.points[:, 0]
     if scale > 0:
         column, scale = np.ldexp(column, -scale), 0
     order, positions = _stable_sort(column)
     np.ldexp(positions, -scale, out=positions)
-    # the order is used up by this take, so the weights go into its buffer;
-    # every index is in range, and "clip" lets NumPy write it in place
-    cum = np.take(dist.weights, order, out=order.view(np.float64), mode="clip")
+    # unless the order is kept, this take uses it up, so the weights go into
+    # its buffer; every index is in range, and "clip" lets NumPy write it in place
+    cum = np.take(dist.weights, order, out=order.view(np.float64) if sorts is None else None, mode="clip")
     cum /= dist.weights.sum()
     cum.cumsum(out=cum)
+    if sorts is not None:
+        sorts.append((order, cum))
     last = _run_ends(positions)
     return positions[last], cum[last]
 
@@ -292,7 +305,8 @@ def _cdf_at(cum: np.ndarray, index: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution, scale: int = 0) -> float:
+def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution, scale: int = 0,
+                    sorts: list = None) -> float:
     """Sum of |U - V| times the gap between consecutive merged positions.
 
     The distance between ``u`` and ``v`` normalized, on points scaled by
@@ -309,8 +323,11 @@ def cdf_distance_1d(u: DiscreteDistribution, v: DiscreteDistribution, scale: int
     maximum apart, the gap is ``inf`` and a zero CDF difference times it is
     ``nan``. ``wasserstein_distance`` passes the power of two that makes
     every gap finite as ``scale``.
+
+    Where ``sorts`` is a list, each side's order and running sum are
+    appended to it (``merged_support``).
     """
-    ms = merged_support(u, v, scale)
+    ms = merged_support(u, v, scale, sorts)
     gap, width = ms.u_cdf[:-1], ms.v_cdf[:-1]
     gap -= width
     np.abs(gap, out=gap)
@@ -333,21 +350,3 @@ def monotone_coupling(a_order, a_ends, b_order, b_ends):
     cuts = np.unique(np.minimum(np.concatenate([[0.0], a_ends, b_ends]), min(a_ends[-1], b_ends[-1])))
     upper = cuts[1:]
     return a_order[np.searchsorted(a_ends, upper)], b_order[np.searchsorted(b_ends, upper)], np.diff(cuts)
-
-
-def greedy_plan_1d(u: DiscreteDistribution, v: DiscreteDistribution) -> TransportPlan:
-    """Optimal 1D plan: the monotone coupling of the two quantile functions.
-
-    Each side's points, in stable position order, hold consecutive intervals
-    of the mass axis, as wide as their weights; ``monotone_coupling`` cuts
-    the axis at both sides' cumulative weights, so a zero-weight point gets
-    no flow. The weights are coupled as given, up to the smaller total:
-    ``wasserstein_distance`` passes both sides scaled to total mass one.
-    Entries come in quantile order; indices refer to the original input
-    order.
-    """
-    u_order = _stable_sort(u.points[:, 0])[0]
-    v_order = _stable_sort(v.points[:, 0])[0]
-    u_cum = np.cumsum(u.weights[u_order])
-    v_cum = np.cumsum(v.weights[v_order])
-    return TransportPlan(u.size, v.size, *monotone_coupling(u_order, u_cum, v_order, v_cum))

@@ -4,8 +4,8 @@ A distribution is a set of n support points in d dimensions with non-negative
 masses. Weights are accepted as counts or masses; ``wasserstein_distance``
 divides each side's weights by their total once before any distance is
 computed, so both marginals of the transport problem always balance: by
-``normalize`` on the LP path and for the 1D plan, and in the sort of
-``cdf1d`` for the 1D distance.
+``normalize`` on the LP path, and in the one sort of each side that
+``cdf1d`` makes on the 1D path, for the distance and the plan alike.
 """
 
 import enum

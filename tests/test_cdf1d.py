@@ -1,4 +1,4 @@
-"""One-dimensional path: CDF gap integral, the monotone coupling and the greedy plan oracle."""
+"""One-dimensional path: CDF gap integral, the monotone coupling and the plan, against the two-sort plan oracle."""
 
 import math
 import tracemalloc
@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
-from earthmover import cdf1d
-from earthmover.cdf1d import (
-    MergedSupport, cdf_distance_1d, greedy_plan_1d, merged_support, monotone_coupling,
-)
+from earthmover import api, cdf1d
+from earthmover.cdf1d import MergedSupport, cdf_distance_1d, merged_support, monotone_coupling
 from earthmover.distributions import normalize, validate
 from earthmover.geometry import pairwise_costs
 from earthmover.simplex import solve
@@ -28,21 +26,26 @@ def pairs(plan):
     return list(zip(plan.rows.tolist(), plan.cols.tolist()))
 
 
-def unique_merged_support(u, v, scale=0):
+def unique_merged_support(u, v, scale=0, sorts=None):
     """Reference merged support: ``np.unique`` of both sides, each CDF read by ``searchsorted``.
 
     Each side's points are first scaled by ``np.ldexp(points, -scale)`` and
     its weights normalized in input order, by ``normalize``; then each side
     is sorted with the stable kind, as ``merged_support`` sorts it, so the
-    weights of a tie are summed in the same order, input order.
+    weights of a tie are summed in the same order, input order. Where
+    ``sorts`` is a list, each side's order and running sum are appended to
+    it, u's first, as ``merged_support`` appends them.
     """
     u, v = (replace(normalize(d), points=np.ldexp(d.points, -scale)) for d in (u, v))
     grid = np.unique(np.concatenate([u.points[:, 0], v.points[:, 0]]))
 
     def step_cdf(dist):
         order = np.argsort(dist.points[:, 0], kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(dist.weights[order])])
-        return cum[np.searchsorted(dist.points[order, 0], grid, side="right")] / cum[-1]
+        cum = np.cumsum(dist.weights[order])
+        if sorts is not None:
+            sorts.append((order, cum))
+        at = np.searchsorted(dist.points[order, 0], grid, side="right")
+        return np.concatenate([[0.0], cum])[at] / cum[-1]
 
     return MergedSupport(grid, step_cdf(u), step_cdf(v))
 
@@ -50,6 +53,29 @@ def unique_merged_support(u, v, scale=0):
 def api_scale(u, v):
     """The point scale ``wasserstein_distance`` passes for flat sides: the largest |point| just below 2^1022."""
     return math.frexp(max(np.abs(d.points).max() for d in (u, v)))[1] - 1022
+
+
+def greedy_plan_1d(u, v):
+    """Reference 1D plan: the monotone coupling of the two quantile functions, from a sort of its own per side.
+
+    Each side's points, in stable position order, hold consecutive intervals
+    of the mass axis, as wide as their weights; ``monotone_coupling`` cuts
+    the axis at both sides' cumulative weights, so a zero-weight point gets
+    no flow. The weights are coupled as given, up to the smaller total:
+    pass both sides scaled and normalized, as ``api._scaled`` makes them.
+    Entries come in quantile order; indices refer to the original input
+    order.
+    """
+    u_order = cdf1d._stable_sort(u.points[:, 0])[0]
+    v_order = cdf1d._stable_sort(v.points[:, 0])[0]
+    u_cum = np.cumsum(u.weights[u_order])
+    v_cum = np.cumsum(v.weights[v_order])
+    return TransportPlan(u.size, v.size, *monotone_coupling(u_order, u_cum, v_order, v_cum))
+
+
+def api_plan(u, v):
+    """The plan ``wasserstein_distance`` attaches to the flat sides of ``u`` and ``v``."""
+    return api.wasserstein_distance(u.points[:, 0], v.points[:, 0], u.weights, v.weights, want_plan=True).plan
 
 
 def loop_plan_1d(u, v):
@@ -216,6 +242,16 @@ class TestMergedSupport:
             got, want = merged_support(u, v, scale), unique_merged_support(u, v, scale)
             for name in ("positions", "u_cdf", "v_cdf"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            # the support is the same where the sorts are kept, and so are
+            # each side's order and running sum
+            got_sorts, want_sorts = [], []
+            kept = merged_support(u, v, scale, got_sorts)
+            unique_merged_support(u, v, scale, want_sorts)
+            for name in ("positions", "u_cdf", "v_cdf"):
+                np.testing.assert_array_equal(getattr(kept, name), getattr(want, name))
+            for (got_order, got_cum), (want_order, want_cum) in zip(got_sorts, want_sorts, strict=True):
+                np.testing.assert_array_equal(got_order, want_order)
+                assert got_cum.tobytes() == want_cum.tobytes()
             distance = cdf_distance_1d(u, v, scale)
             with monkeypatch.context() as patch:
                 patch.setattr(cdf1d, "merged_support", unique_merged_support)
@@ -567,8 +603,10 @@ class TestMonotoneCoupling:
 
 
 class TestGreedyPlan:
+    """The plan ``wasserstein_distance`` builds on the 1D path from each side's one sort."""
+
     def test_sorted_pairing(self):
-        plan = greedy_plan_1d(dist1d([0, 1, 3]), dist1d([5, 6, 8]))
+        plan = api_plan(dist1d([0, 1, 3]), dist1d([5, 6, 8]))
         assert pairs(plan) == [(0, 0), (1, 1), (2, 2)]
         np.testing.assert_allclose(plan.mass, [1 / 3] * 3)
         costs = pairwise_costs(dist1d([0, 1, 3]), dist1d([5, 6, 8]))
@@ -576,14 +614,14 @@ class TestGreedyPlan:
 
     def test_identity_plan(self):
         u = dist1d([2.0, 7.0])
-        plan = greedy_plan_1d(u, u)
+        plan = api_plan(u, u)
         assert pairs(plan) == [(0, 0), (1, 1)]
         assert plan.cost(pairwise_costs(u, u)) == 0.0
 
     def test_unsorted_inputs_use_original_indices(self):
         u = dist1d([3, 0, 1])  # sorted order is 1, 2, 0
         v = dist1d([8, 5, 6])
-        plan = greedy_plan_1d(u, v)
+        plan = api_plan(u, v)
         assert pairs(plan) == [(1, 1), (2, 2), (0, 0)]
 
     def test_marginals_and_cost_match_cdf(self):
@@ -593,7 +631,7 @@ class TestGreedyPlan:
             n, m = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             u = dist1d(rng.normal(size=n) * 4, rng.random(n) + 0.01)
             v = dist1d(rng.normal(size=m) * 4, rng.random(m) + 0.01)
-            plan = greedy_plan_1d(u, v)
+            plan = api_plan(u, v)
             np.testing.assert_allclose(plan.source_marginals(), u.weights, atol=1e-9)
             np.testing.assert_allclose(plan.target_marginals(), v.weights, atol=1e-9)
             assert (plan.mass > 0).all()
@@ -612,7 +650,7 @@ class TestGreedyPlan:
 
         for _ in range(200):
             u, v = tied_sample(int(rng.integers(1, 40))), tied_sample(int(rng.integers(1, 40)))
-            plan, oracle = greedy_plan_1d(u, v), loop_plan_1d(u, v)
+            plan, oracle = api_plan(u, v), loop_plan_1d(u, v)
             for got, want in ((plan.source_marginals(), oracle.source_marginals()),
                               (plan.target_marginals(), oracle.target_marginals())):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -620,26 +658,70 @@ class TestGreedyPlan:
             assert abs(plan.cost(costs) - oracle.cost(costs)) <= 1e-12
             assert (u.weights[plan.rows] > 0).all() and (v.weights[plan.cols] > 0).all()
 
-            self_plan = greedy_plan_1d(u, u)
+            self_plan = api_plan(u, u)
             assert (self_plan.rows == self_plan.cols).all()
             assert self_plan.cost(pairwise_costs(u, u)) == 0.0
-
-    def test_couples_the_weights_it_is_given(self):
-        # unnormalized: the plan moves the weights themselves, not fractions of them
-        plan = greedy_plan_1d(validate([0, 1], [1, 3]), validate([0.5, 2], [2, 2]))
-        np.testing.assert_array_equal(plan.source_marginals(), [1.0, 3.0])
-        np.testing.assert_array_equal(plan.target_marginals(), [2.0, 2.0])
 
     def test_five_versus_four_point_instance(self):
         rng = np.random.default_rng(99)
         u = dist1d(rng.normal(size=5) * 3, rng.random(5) + 0.1)
         v = dist1d(rng.normal(size=4) * 3, rng.random(4) + 0.1)
         costs = pairwise_costs(u, v)
-        greedy_cost = greedy_plan_1d(u, v).cost(costs)
+        greedy_cost = api_plan(u, v).cost(costs)
         assert abs(greedy_cost - cdf_distance_1d(u, v)) <= 1e-10
         # the LP path lands on the same value
         lp = solution_distance(solve(build_problem(costs, u.weights, v.weights)))
         assert abs(greedy_cost - lp) <= 1e-8
+
+    def test_matches_the_two_sort_oracle_bit_for_bit(self):
+        # the plan reads each side's order and running sum off the distance's
+        # own sort, which sorts unscaled points where the scale is not
+        # positive and scales first where it is; the oracle sorts the
+        # scaled, normalized sides a second time
+        rng = np.random.default_rng(83)
+
+        def side(k, grid):
+            points = np.round(rng.uniform(-1.9, 1.9, k) / grid) * grid
+            points[rng.random(k) < 0.2] = rng.choice([0.0, -0.0])
+            weights = rng.random(k) * (rng.random(k) >= 0.2)
+            weights[rng.random(k) < 0.1] = -0.0
+            weights[rng.integers(k)] += 1.0  # a positive total
+            return points, weights
+
+        cases = []
+        for trial in range(240):
+            # unscaled, from 2^1022 up (the distance's sort scales first),
+            # and subnormal, where scaling up is exact
+            exponent = (0, 1022, -1074, -1060)[trial % 4]
+            grid = (1e-3, 0.25, 1.0)[trial // 4 % 3]
+            (u, u_w), (v, v_w) = (side(int(rng.integers(1, 3 if trial % 10 == 0 else 200)), grid) for _ in "uv")
+            u, v = np.ldexp(u, exponent), np.ldexp(v, exponent)
+            cases += [(u, u_w, v, v_w), (v, v_w, u, u_w), (u, u_w, u, u_w)]
+        # a point near the float maximum beside subnormals, which round into
+        # ties when the sort scales them down
+        for k in (3, 40, 300):
+            top = np.append(rng.choice([-1.5, 1.5], 1) * 2.0**1023, rng.integers(0, 12, k) * 2.0**-1074)
+            low = rng.integers(0, 12, k) * 2.0**-1074
+            top_w, low_w = np.append(rng.random(1), rng.random(k)), rng.random(k)
+            cases += [(top, top_w, low, low_w), (low, low_w, top, top_w), (top, top_w, top, top_w)]
+        for u, u_w, v, v_w in cases:
+            u_dist, v_dist = validate(u, u_w), validate(v, v_w)
+            scale = api_scale(u_dist, v_dist)
+            want = greedy_plan_1d(api._scaled(u_dist, scale), api._scaled(v_dist, scale))
+            got = api.wasserstein_distance(u, v, u_w, v_w, want_plan=True).plan
+            assert (got.n_sources, got.n_targets) == (want.n_sources, want.n_targets)
+            for name in ("rows", "cols", "mass"):
+                got_array, want_array = getattr(got, name), getattr(want, name)
+                assert got_array.dtype == want_array.dtype
+                assert got_array.tobytes() == want_array.tobytes()
+
+    def test_a_plan_call_sorts_each_side_once(self, monkeypatch):
+        sizes = []
+        sort = cdf1d._stable_sort
+        monkeypatch.setattr(cdf1d, "_stable_sort", lambda column: sizes.append(column.size) or sort(column))
+        plan = api.wasserstein_distance([3.0, 1.0, 1.0, 2.0], [0.5, 2.0, 4.0], want_plan=True).plan
+        assert sizes == [4, 3]
+        assert pairs(plan) == [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (0, 2)]
 
 
 def test_cdf_path_matches_lp_path():
